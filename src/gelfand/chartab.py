@@ -1,5 +1,10 @@
 """Conjugacy classes and complex character tables by the modular method.
 
+Conjugacy classes are the orbits (``groups.orbits``) of the id permutations
+x -> a x a^-1 for the generators a of the group, each one batched product
+on the left and one on the right (``matrix.mul_batch``) looked up with
+``GroupTable.ids_of``; class ids follow the minimal element ids.
+
 Character values live in Z[zeta_m] for m the group exponent; instead of
 cyclotomic arithmetic everything is computed in F_l for a prime l chosen
 with l = 1 (mod m) and l > 2|G|.  The first condition makes F_l contain a
@@ -9,7 +14,8 @@ invariant dimensions, coset counts) recoverable from its residue by
 lifting into a stated interval.
 
 The table itself comes from the class algebra.  With class sums z_i and
-structure constants a_ijm (z_i z_j = sum_m a_ijm z_m), the vector
+structure constants a_ijm (z_i z_j = sum_m a_ijm z_m; one batched product
+of the whole group per class, counted with ``np.bincount``), the vector
 w = (omega(z_1), ..., omega(z_k)) of a central character satisfies
 N_i w = w_i w for the matrix N_i[j][m] = a_ijm.  The N_i commute, so
 iterated eigenspace splitting over F_l (class matrices in ascending class
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,8 +40,10 @@ import numpy as np
 
 from .errors import DomainError, InternalCheckError
 from .field import is_prime
-from .groups import Embedding, GroupTable
-from .matrix import format_matrix, inverse_flat, mul_flat
+from .groups import Embedding, GroupTable, orbits
+# perfbench/tracing.py counts group-element products through this name in
+# every module that loops over a group, so the import stays.
+from .matrix import format_matrix, mul_batch, mul_flat  # noqa: F401
 
 PRIME_SEARCH_BOUND = 10 ** 7
 CACHE_SCHEMA = "gelfand-chartab/1"
@@ -55,42 +64,23 @@ class ConjClasses:
 
 
 def conjugacy_classes(g: GroupTable) -> ConjClasses:
-    """Orbits of conjugation by a generating set; ids by minimal element."""
+    """Orbits of conjugation by a generating set; ids by minimal element.
+
+    Conjugation x -> a x a^-1 by a generator a is one batched product on
+    the left and one on the right, looked up as an id permutation."""
     n, f = g.n, g.field
-    elems = g.elements
-    ids = g._ids
-    gen_pairs = [(elems[i].entries, inverse_flat(elems[i].entries, n, f))
-                 for i in g.generator_ids]
-    class_of = [-1] * g.order
-    reps = []
-    sizes = []
-    for seed in range(g.order):
-        if class_of[seed] != -1:
-            continue
-        c = len(reps)
-        reps.append(seed)
-        class_of[seed] = c
-        size = 1
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                xe = elems[x].entries
-                for ge, gie in gen_pairs:
-                    y = ids[mul_flat(mul_flat(ge, xe, n, f), gie, n, f)]
-                    if class_of[y] == -1:
-                        class_of[y] = c
-                        size += 1
-                        nxt.append(y)
-            frontier = nxt
-        sizes.append(size)
-    if sum(sizes) != g.order:
+    inv = g.inverse_ids
+    perms = [g.ids_of(mul_batch(mul_batch(g.mat[a], g.mat, n, f),
+                                g.mat[inv[a]], n, f))
+             for a in g.generator_ids]
+    reps, class_of, sizes = np.unique(orbits(perms, g.order),
+                                      return_inverse=True, return_counts=True)
+    if sizes.sum() != g.order:
         raise InternalCheckError("conjugacy classes do not partition the group")
     if sizes[class_of[g.identity_id]] != 1:
         raise InternalCheckError("identity class is not a singleton")
-    inverse_class = [class_of[ids[inverse_flat(elems[r].entries, n, f)]]
-                     for r in reps]
-    return ConjClasses(class_of, reps, sizes, inverse_class)
+    return ConjClasses(class_of.tolist(), reps.tolist(), sizes.tolist(),
+                       class_of[inv[reps]].tolist())
 
 
 def element_order(g: GroupTable, i: int) -> int:
@@ -273,29 +263,26 @@ class CharacterTable:
         return self.classes.class_of[self.group.identity_id]
 
 
-def _structure_constants(g: GroupTable, classes: ConjClasses) -> list:
-    """a[i][j][m] = #{(x, y) in C_i x C_j : x y = t_m} for fixed t_m."""
+def _structure_constants(g: GroupTable, classes: ConjClasses) -> np.ndarray:
+    """a[i, j, m] = #{(x, y) in C_i x C_j : x y = t_m} for fixed t_m.
+
+    The pairs are (u^-1, u t_m) for u in G, so each class rep costs one
+    batched product of the whole group by t_m on the right."""
     n, f = g.n, g.field
-    elems = g.elements
-    ids = g._ids
-    class_of = classes.class_of
     k = classes.count
-    inv_ids = g.inverse_ids
-    inv_entries = [elems[inv_ids[x]].entries for x in range(g.order)]
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    class_of = np.array(classes.class_of)
+    inv_class = class_of[g.inverse_ids]
+    a = np.zeros((k, k, k), dtype=np.int64)
     for m_idx, rep in enumerate(classes.reps):
-        t = elems[rep].entries
-        for x in range(g.order):
-            j = class_of[ids[mul_flat(inv_entries[x], t, n, f)]]
-            a[class_of[x]][j][m_idx] += 1
+        j = class_of[g.ids_of(mul_batch(g.mat, g.mat[rep], n, f))]
+        a[:, :, m_idx] = np.bincount(inv_class * k + j,
+                                     minlength=k * k).reshape(k, k)
     # orientation sanity: x y = identity forces y = x^-1
-    e_cls = class_of[g.identity_id]
-    for i in range(k):
-        for j in range(k):
-            expected = classes.sizes[i] if j == classes.inverse_class[i] else 0
-            if a[i][j][e_cls] != expected:
-                raise InternalCheckError("structure constants fail the "
-                                         "inverse-class identity")
+    expected = np.zeros((k, k), dtype=np.int64)
+    expected[np.arange(k), classes.inverse_class] = classes.sizes
+    if not np.array_equal(a[:, :, class_of[g.identity_id]], expected):
+        raise InternalCheckError("structure constants fail the "
+                                 "inverse-class identity")
     return a
 
 
@@ -341,7 +328,7 @@ def character_table(g: GroupTable, classes: ConjClasses,
     root = pow(_smallest_primitive_root(l), (l - 1) // exponent, l)
 
     a = _structure_constants(g, classes)
-    class_mats = [np.array(a[i], dtype=np.int64) for i in range(k)]
+    class_mats = list(a)
     e_cls = classes.class_of[g.identity_id]
     vectors = _split_eigenspaces(class_mats, l, e_cls)
 
@@ -395,12 +382,20 @@ def save_character_table(t: CharacterTable, cache_dir: str | Path) -> Path:
         "q": g.field.q,
         "l": t.l,
         "root": t.root,
-        "class_reps": [format_matrix(g.elements[r]) for r in t.classes.reps],
+        "class_reps": [format_matrix(g.element(r)) for r in t.classes.reps],
         "class_sizes": t.classes.sizes,
         "degrees": t.degrees,
         "values": t.values,
     }
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    # write a sibling temp file and rename it over the target, so a reader
+    # never sees a partial table; the pid keeps concurrent sweep workers apart
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -415,7 +410,7 @@ def load_character_table(g: GroupTable, classes: ConjClasses,
         return None
     if payload.get("schema") != CACHE_SCHEMA:
         return None
-    reps = [format_matrix(g.elements[r]) for r in classes.reps]
+    reps = [format_matrix(g.element(r)) for r in classes.reps]
     if (payload.get("class_reps") != reps
             or payload.get("class_sizes") != classes.sizes):
         return None  # stale cache for a different enumeration
@@ -510,6 +505,5 @@ def verify_pair(table: CharacterTable, invariants: InvariantReport,
 
 
 def transpose_preserves_classes(g: GroupTable, classes: ConjClasses) -> bool:
-    tr = g.transpose_ids
-    cls = classes.class_of
-    return all(cls[tr[x]] == cls[x] for x in range(g.order))
+    cls = np.array(classes.class_of)
+    return np.array_equal(cls[g.transpose_ids], cls)

@@ -93,14 +93,14 @@ def cmd_cosets(args) -> int:
         payload.update(fixed=action.fixed_count,
                        nonfixed=action.nonfixed_count, k=action.k,
                        nonfixed_reps=[
-                           format_matrix(big.elements[decomp.reps[c]])
+                           format_matrix(big.element(decomp.reps[c]))
                            for c in action.nonfixed_coset_ids()])
         lines.append(f"fixed: {action.fixed_count}")
         lines.append(f"nonfixed: {action.nonfixed_count}")
         lines.append(f"k: {action.k}")
         for c in action.nonfixed_coset_ids():
             lines.append(
-                f"nonfixed rep: {format_matrix(big.elements[decomp.reps[c]])}")
+                f"nonfixed rep: {format_matrix(big.element(decomp.reps[c]))}")
     _emit(args, payload, "\n".join(lines))
     return EXIT_PASS
 
@@ -148,7 +148,7 @@ def cmd_chartab(args) -> int:
     payload = {
         "kind": args.type, "n": args.n, "q": args.q,
         "l": t.l, "root": t.root,
-        "class_reps": [format_matrix(table.elements[r]) for r in classes.reps],
+        "class_reps": [format_matrix(table.element(r)) for r in classes.reps],
         "class_sizes": classes.sizes,
         "degrees": t.degrees,
         "values": t.values,

@@ -1,12 +1,12 @@
 """Double-coset decompositions H\\G/K and the transpose action on them.
 
 K is the embedded subgroup itself, or the subgroup it generates together
-with the center of G ("mod center").  Cosets are found by BFS over element
-ids: seeds are taken in ascending id order and the orbit of a seed under
-left multiplication by generators of H and right multiplication by
-generators of K is one double coset.  Seeding in ascending order makes the
-representative of each coset its minimal element id, so coset ids are
-canonical for a fixed element order.
+with the center of G ("mod center").  Each generator of H acts on G by left
+multiplication and each generator of K by right multiplication; one batched
+product per generator (``GroupTable.perm``) turns these into id
+permutations, and ``groups.orbits`` labels their orbits, the double cosets,
+by their minimal element ids.  Coset ids follow those representatives in
+ascending order, so they are canonical for a fixed element order.
 
 The transpose map g -> g^T is an anti-involution; it permutes double cosets
 whenever both subgroups are transpose-stable, which holds for the standard
@@ -18,9 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InternalCheckError
-from .groups import Embedding, GroupTable
-from .matrix import mul_flat
+from .groups import Embedding, GroupTable, orbits
+# perfbench/tracing.py counts group-element products through this name in
+# every module that loops over a group, so the import stays.
+from .matrix import mul_flat  # noqa: F401
 
 
 @dataclass
@@ -56,53 +60,29 @@ def double_cosets(g: GroupTable, emb: Embedding,
     """Partition g into H x K orbits, K = H or the subgroup <Z(G), H>."""
     if emb.big is not g:
         raise InternalCheckError("embedding does not target this group")
-    n, f = g.n, g.field
-    elems = g.elements
-    left_gens = [elems[emb.map[i]].entries for i in emb.small.generator_ids]
-    right_gens = list(left_gens)
+    left_gens = [g.mat[emb.map[i]] for i in emb.small.generator_ids]
+    perms = [g.perm(h, left=True) for h in left_gens]
+    perms += [g.perm(h) for h in left_gens]
     if mod_center:
-        right_gens += [elems[z].entries for z in g.center_ids()
-                       if z != g.identity_id]
-
-    ids = g._ids
-    coset_of = [-1] * g.order
-    reps = []
-    for seed in range(g.order):
-        if coset_of[seed] != -1:
-            continue
-        c = len(reps)
-        reps.append(seed)
-        coset_of[seed] = c
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                xe = elems[x].entries
-                for ge in left_gens:
-                    y = ids[mul_flat(ge, xe, n, f)]
-                    if coset_of[y] == -1:
-                        coset_of[y] = c
-                        nxt.append(y)
-                for ge in right_gens:
-                    y = ids[mul_flat(xe, ge, n, f)]
-                    if coset_of[y] == -1:
-                        coset_of[y] = c
-                        nxt.append(y)
-            frontier = nxt
-    return DoubleCosetDecomposition(g, emb, mod_center, coset_of, reps,
-                                    len(reps))
+        perms += [g.perm(g.mat[z]) for z in g.center_ids()
+                  if z != g.identity_id]
+    reps, coset_of = np.unique(orbits(perms, g.order), return_inverse=True)
+    return DoubleCosetDecomposition(g, emb, mod_center, coset_of.tolist(),
+                                    reps.tolist(), len(reps))
 
 
 def involution_action(d: DoubleCosetDecomposition) -> InvolutionAction:
     """Permutation induced on cosets by transpose, checked element by element."""
     g = d.group
     tr = g.transpose_ids
-    perm = [d.coset_of[tr[r]] for r in d.reps]
-    for x in range(g.order):
-        if d.coset_of[tr[x]] != perm[d.coset_of[x]]:
-            raise InternalCheckError(
-                "transpose is not well defined on double cosets "
-                f"(element id {x})")
+    coset_of = np.array(d.coset_of)
+    perm = coset_of[tr[d.reps]]
+    bad = np.flatnonzero(coset_of[tr] != perm[coset_of])
+    if bad.size:
+        raise InternalCheckError(
+            "transpose is not well defined on double cosets "
+            f"(element id {bad[0]})")
+    perm = perm.tolist()
     for c, t in enumerate(perm):
         if perm[t] != c:
             raise InternalCheckError("coset transpose action is not an involution")
@@ -134,7 +114,7 @@ def classify_nonfixed_gl(a: InvolutionAction) -> list[str]:
     n = g.n
     shapes = []
     for c in nf:
-        m = g.elements[d.reps[c]]
+        m = g.element(d.reps[c])
         last_row = m.row(n - 1)[:n - 1]
         last_col = tuple(m[i, n - 1] for i in range(n - 1))
         row_zero = not any(last_row)

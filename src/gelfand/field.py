@@ -7,8 +7,10 @@ for prime fields the index is just the residue itself.
 
 All operations go through dense lookup tables (q^2 entries for add/mul)
 built once at construction, so hot loops elsewhere in the package are flat
-list indexing instead of polynomial arithmetic.  A field object is
-immutable after construction and safe to share between workers.
+list indexing instead of polynomial arithmetic.  The batched matrix kernel
+reads the same tables as (q, q) uint8 arrays, built on first use by
+``arrays()``.  A field object is immutable after construction and safe to
+share between workers.
 
 The modulus for e >= 2 is the monic irreducible polynomial of degree e
 whose coefficient encoding (same base-p digit convention as elements) is
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 import functools
 from itertools import product
+
+import numpy as np
 
 from .errors import CapExceededError, DomainError
 
@@ -75,7 +79,7 @@ class Fq:
     """GF(p^e) with dense add/mul/neg/inv tables over canonical indices."""
 
     __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_neg", "_inv",
-                 "_generator")
+                 "_generator", "_arrays")
 
     def __init__(self, p: int, e: int, max_q: int = DEFAULT_MAX_Q):
         if not is_prime(p):
@@ -91,6 +95,7 @@ class Fq:
         self.modulus = self._select_modulus() if e > 1 else ()
         self._build_tables()
         self._generator = None
+        self._arrays = None
 
     def _select_modulus(self) -> tuple[int, ...]:
         p, e = self.p, self.e
@@ -181,6 +186,14 @@ class Fq:
             base = self._mul[base * self.q + base]
             n >>= 1
         return acc
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The add and mul tables as (q, q) uint8 arrays, built on first use."""
+        if self._arrays is None:
+            q = self.q
+            self._arrays = tuple(np.array(t, dtype=np.uint8).reshape(q, q)
+                                 for t in (self._add, self._mul))
+        return self._arrays
 
     def elements(self) -> range:
         return range(self.q)

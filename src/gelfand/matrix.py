@@ -15,6 +15,8 @@ rule is correct over an exact field; this one is deterministic).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DomainError, SingularMatrixError
 from .field import Fq, Scalar
 
@@ -35,6 +37,28 @@ def mul_flat(a: tuple, b: tuple, n: int, field: Fq) -> tuple:
                 bi += n
             out.append(acc)
     return tuple(out)
+
+
+def mul_batch(a: np.ndarray, b: np.ndarray, n: int, field: Fq) -> np.ndarray:
+    """Row-wise products a @ b of n x n matrices stored as uint8 rows of n^2
+    entries.  Either side may be a single row, which then multiplies every
+    row of the other side: a fixed matrix on the left or on the right.
+
+    Prime fields use an int16 matmul reduced mod p; with p < 25 and n <= 7
+    (the int64 code limit) a sum of n products stays far below 2^15.
+    GF(p^e) folds the n terms of each entry through the field's add and mul
+    tables.  The result is a uint8 batch of shape (rows, n^2).
+    """
+    a = np.asarray(a, dtype=np.uint8).reshape(-1, n, n)
+    b = np.asarray(b, dtype=np.uint8).reshape(-1, n, n)
+    if field.e == 1:
+        out = (a.astype(np.int16) @ b.astype(np.int16)) % field.p
+    else:
+        add, mul = field.arrays()
+        out = mul[a[:, :, 0, None], b[:, None, 0, :]]
+        for r in range(1, n):
+            out = add[out, mul[a[:, :, r, None], b[:, None, r, :]]]
+    return out.astype(np.uint8).reshape(-1, n * n)
 
 
 def transpose_flat(a: tuple, rows: int, cols: int) -> tuple:

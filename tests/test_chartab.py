@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from gelfand.chartab import (character_table, choose_modulus,
+from gelfand.chartab import (cache_path, character_table, choose_modulus,
                              conjugacy_classes, dim_invariants, element_order,
                              group_exponent, load_character_table,
                              save_character_table, transpose_preserves_classes,
@@ -378,3 +378,25 @@ def test_corrupt_cache_values_fail_orthogonality(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(InternalCheckError):
         load_character_table(g, classes, tmp_path)
+
+
+def test_truncated_cache_is_replaced_atomically(tmp_path, monkeypatch):
+    g, classes = build("gl", 2, 2)
+    path = cache_path(tmp_path, g.kind, g.n, g.field.q)
+    path.write_text('{"schema": "gelfand-chartab/1", "l": 1')
+    t = character_table(g, classes, cache_dir=tmp_path)
+    assert load_character_table(g, classes, tmp_path).values == t.values
+    assert list(tmp_path.iterdir()) == [path]
+
+    # a write that fails before the rename leaves the old file and no temp
+    from gelfand import chartab
+    before = path.read_text()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(chartab.os, "replace", fail)
+    with pytest.raises(OSError):
+        save_character_table(t, tmp_path)
+    assert path.read_text() == before
+    assert list(tmp_path.iterdir()) == [path]

@@ -2,10 +2,13 @@ from itertools import product
 
 import pytest
 
-from gelfand.errors import CapExceededError, DomainError
-from gelfand.field import build_field
-from gelfand.groups import (embed_identity, embed_standard, enumerate_gl,
-                            enumerate_o, gl_order)
+import numpy as np
+
+from gelfand import groups
+from gelfand.errors import CapExceededError, DomainError, InternalCheckError
+from gelfand.field import build_field, field_from_q
+from gelfand.groups import (GroupTable, embed_identity, embed_standard,
+                            enumerate_gl, enumerate_o, gl_order, o_order)
 from gelfand.matrix import MatFq, mul_flat
 
 
@@ -121,6 +124,29 @@ def test_o3_f5_closure(f5):
 def test_o_cap(f3):
     with pytest.raises(CapExceededError):
         enumerate_o(3, f3, cap=10)
+
+
+@pytest.mark.parametrize("n,q,order", [(2, 3, 8), (2, 5, 8), (3, 3, 48),
+                                       (3, 5, 240), (4, 3, 1152)])
+def test_o_order_closed_form_and_closure_agree(n, q, order):
+    # O4(F3) is past the direct filter, so the closed form is its second route
+    field = field_from_q(q)
+    assert o_order(n, field) == order
+    assert enumerate_o(n, field).order == order
+
+
+def test_o_closure_is_checked_against_the_closed_form(f3, monkeypatch):
+    monkeypatch.setattr(groups, "o_order", lambda n, field: 49)
+    with pytest.raises(InternalCheckError, match="48 elements"):
+        enumerate_o(3, f3)
+
+
+def test_codes_past_int64_are_refused_before_enumeration():
+    f25 = field_from_q(25)  # 25^16 > 2^63
+    with pytest.raises(CapExceededError, match="int64"):
+        enumerate_o(4, f25)
+    with pytest.raises(CapExceededError, match="int64"):
+        GroupTable("GL", 4, f25, np.zeros((0, 16), dtype=np.uint8))
 
 
 def test_every_o_element_is_orthogonal(f3):
