@@ -1,9 +1,12 @@
 """Conjugacy classes and complex character tables by the modular method.
 
 Conjugacy classes are the orbits (``groups.orbits``) of the id permutations
-x -> a x a^-1 for the generators a of the group, each one batched product
-on the left and one on the right (``matrix.mul_batch``) looked up with
-``GroupTable.ids_of``; class ids follow the minimal element ids.
+x -> a x a^-1 for the generators a of the group, gathered from the
+generators' cached left and right permutations
+(``GroupTable.conjugation_perms``); class ids follow the minimal element
+ids.  The right-regular rows x -> x t of the class representatives t
+(``GroupTable.right_rows``, gathers along the Schreier tree) give both the
+element orders and the structure constants.
 
 Character values live in Z[zeta_m] for m the group exponent; instead of
 cyclotomic arithmetic everything is computed in F_l for a prime l chosen
@@ -14,8 +17,9 @@ invariant dimensions, coset counts) recoverable from its residue by
 lifting into a stated interval.
 
 The table itself comes from the class algebra.  With class sums z_i and
-structure constants a_ijm (z_i z_j = sum_m a_ijm z_m; one batched product
-of the whole group per class, counted with ``np.bincount``), the vector
+structure constants a_ijm (z_i z_j = sum_m a_ijm z_m;
+counted with ``np.bincount`` from the rows of the class representatives;
+one row is recomputed by a batched product as a cross-check), the vector
 w = (omega(z_1), ..., omega(z_k)) of a central character satisfies
 N_i w = w_i w for the matrix N_i[j][m] = a_ijm.  The N_i commute, so
 iterated eigenspace splitting over F_l (class matrices in ascending class
@@ -43,7 +47,7 @@ from .field import is_prime
 from .groups import Embedding, GroupTable, orbits
 # perfbench/tracing.py counts group-element products through this name in
 # every module that loops over a group, so the import stays.
-from .matrix import format_matrix, mul_batch, mul_flat  # noqa: F401
+from .matrix import format_matrix, mul_flat  # noqa: F401
 
 PRIME_SEARCH_BOUND = 10 ** 7
 CACHE_SCHEMA = "gelfand-chartab/1"
@@ -64,16 +68,9 @@ class ConjClasses:
 
 
 def conjugacy_classes(g: GroupTable) -> ConjClasses:
-    """Orbits of conjugation by a generating set; ids by minimal element.
-
-    Conjugation x -> a x a^-1 by a generator a is one batched product on
-    the left and one on the right, looked up as an id permutation."""
-    n, f = g.n, g.field
+    """Orbits of conjugation by a generating set; ids by minimal element."""
     inv = g.inverse_ids
-    perms = [g.ids_of(mul_batch(mul_batch(g.mat[a], g.mat, n, f),
-                                g.mat[inv[a]], n, f))
-             for a in g.generator_ids]
-    reps, class_of, sizes = np.unique(orbits(perms, g.order),
+    reps, class_of, sizes = np.unique(orbits(g.conjugation_perms(), g.order),
                                       return_inverse=True, return_counts=True)
     if sizes.sum() != g.order:
         raise InternalCheckError("conjugacy classes do not partition the group")
@@ -84,6 +81,7 @@ def conjugacy_classes(g: GroupTable) -> ConjClasses:
 
 
 def element_order(g: GroupTable, i: int) -> int:
+    """Order of one element by repeated products (a reference for tests)."""
     e = g.identity_id
     if i == e:
         return 1
@@ -95,8 +93,27 @@ def element_order(g: GroupTable, i: int) -> int:
     return m
 
 
+def element_orders(g: GroupTable, ids) -> list[int]:
+    """Orders of the given elements: t^(m+1) is the row x -> x t read at
+    t^m, iterated until every power reaches the identity."""
+    orders = []
+    for rows in g.right_rows(ids):
+        cur = rows[:, g.identity_id].copy()  # t itself
+        order = np.ones(len(cur), dtype=np.int64)
+        live = np.flatnonzero(cur != g.identity_id)
+        while live.size:
+            if order[live[0]] >= g.order:
+                raise InternalCheckError("element powers never reach the "
+                                         "identity; right rows are wrong")
+            cur[live] = rows[live, cur[live]]
+            order[live] += 1
+            live = live[cur[live] != g.identity_id]
+        orders += order.tolist()
+    return orders
+
+
 def group_exponent(g: GroupTable, classes: ConjClasses) -> int:
-    return math.lcm(*(element_order(g, r) for r in classes.reps))
+    return math.lcm(*element_orders(g, classes.reps))
 
 
 # -- the modulus l and roots of unity ------------------------------------------
@@ -266,17 +283,25 @@ class CharacterTable:
 def _structure_constants(g: GroupTable, classes: ConjClasses) -> np.ndarray:
     """a[i, j, m] = #{(x, y) in C_i x C_j : x y = t_m} for fixed t_m.
 
-    The pairs are (u^-1, u t_m) for u in G, so each class rep costs one
-    batched product of the whole group by t_m on the right."""
-    n, f = g.n, g.field
+    The pairs are (u^-1, u t_m) for u in G, so each class rep t_m needs the
+    class of every u t_m: its right-regular row.  The row of the last rep
+    is also computed by one batched product, and any difference raises."""
     k = classes.count
     class_of = np.array(classes.class_of)
-    inv_class = class_of[g.inverse_ids]
+    inv_cell = class_of[g.inverse_ids] * k
     a = np.zeros((k, k, k), dtype=np.int64)
-    for m_idx, rep in enumerate(classes.reps):
-        j = class_of[g.ids_of(mul_batch(g.mat, g.mat[rep], n, f))]
-        a[:, :, m_idx] = np.bincount(inv_class * k + j,
-                                     minlength=k * k).reshape(k, k)
+    m_idx = 0
+    for rows in g.right_rows(classes.reps):
+        for row in rows:
+            a[:, :, m_idx] = np.bincount(inv_cell + class_of[row],
+                                         minlength=k * k).reshape(k, k)
+            m_idx += 1
+    rep = classes.reps[-1]
+    if rep != g.identity_id and not np.array_equal(rows[-1],
+                                                   g.perm(g.mat[rep])):
+        raise InternalCheckError(
+            f"right-regular row of class rep {format_matrix(g.element(rep))} "
+            "differs from its batched product")
     # orientation sanity: x y = identity forces y = x^-1
     expected = np.zeros((k, k), dtype=np.int64)
     expected[np.arange(k), classes.inverse_class] = classes.sizes

@@ -5,7 +5,7 @@ chartab, verify, sweep.  Pair commands (cosets, verify, sweep points) take
 the SMALL group size n: the pair verified is (KIND_{n+1}(F_q), KIND_n(F_q)).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 internal consistency error.
+3 internal consistency error; a sweep exits 3 when any point hit one.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from .chartab import character_table, conjugacy_classes
 from .cosets import double_cosets, involution_action
 from .errors import DomainError, InternalCheckError
 from .field import field_from_q
-from .groups import (DEFAULT_GROUP_CAP, embed_standard, enumerate_gl,
-                     enumerate_o)
+from .groups import DEFAULT_GROUP_CAP, embed_standard
 from .matrix import MatFq, format_matrix, mat_vec, parse_vector
-from .pipeline import default_points, run_sweep, run_verify
+from .pipeline import default_points, enumerate_group, run_sweep, run_verify
 from .reflections import swap_element
 from .symsolve import solve_symmetric
 from . import __version__
@@ -34,20 +33,14 @@ EXIT_INTERNAL = 3
 
 
 def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--cache-dir", default=os.environ.get("GELFAND_CACHE_DIR"),
-                   help="character table cache directory "
-                        "(default: $GELFAND_CACHE_DIR)")
-    p.add_argument("--threads", type=int, default=0,
-                   help="sweep parallelism; 0 = auto, 1 = sequential")
     p.add_argument("--cap-group-order", type=int, default=DEFAULT_GROUP_CAP,
                    help="refuse to enumerate groups larger than this")
 
 
-def _enumerate(kind: str, n: int, q: int, cap: int):
-    field = field_from_q(q)
-    if kind == "gl":
-        return enumerate_gl(n, field, cap)
-    return enumerate_o(n, field, cap)
+def _cache_flag(p: argparse.ArgumentParser):
+    p.add_argument("--cache-dir", default=os.environ.get("GELFAND_CACHE_DIR"),
+                   help="character table cache directory "
+                        "(default: $GELFAND_CACHE_DIR)")
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -69,7 +62,8 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_group_order(args) -> int:
-    table = _enumerate(args.type, args.n, args.q, args.cap_group_order)
+    table = enumerate_group(args.type, args.n, field_from_q(args.q),
+                            args.cap_group_order)
     if args.dump:
         with open(args.dump, "w") as fh:
             for m in table.elements:
@@ -81,8 +75,9 @@ def cmd_group_order(args) -> int:
 
 
 def cmd_cosets(args) -> int:
-    big = _enumerate(args.pair, args.n + 1, args.q, args.cap_group_order)
-    small = _enumerate(args.pair, args.n, args.q, args.cap_group_order)
+    field = field_from_q(args.q)
+    big = enumerate_group(args.pair, args.n + 1, field, args.cap_group_order)
+    small = enumerate_group(args.pair, args.n, field, args.cap_group_order)
     emb = embed_standard(small, big)
     decomp = double_cosets(big, emb, args.mod_center)
     payload = {"pair": {"kind": args.pair, "n": args.n, "q": args.q},
@@ -142,7 +137,8 @@ def cmd_swap_reflection(args) -> int:
 
 
 def cmd_chartab(args) -> int:
-    table = _enumerate(args.type, args.n, args.q, args.cap_group_order)
+    table = enumerate_group(args.type, args.n, field_from_q(args.q),
+                            args.cap_group_order)
     classes = conjugacy_classes(table)
     t = character_table(table, classes, cache_dir=args.cache_dir)
     payload = {
@@ -224,6 +220,8 @@ def cmd_sweep(args) -> int:
         print(json.dumps(summary.to_json_dict(), sort_keys=True, indent=1))
     else:
         print(summary.table_text())
+    if summary.any_internal:
+        return EXIT_INTERNAL
     return EXIT_PASS if summary.all_passed else EXIT_VERIFY_FAIL
 
 
@@ -288,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chartab = sub.add_parser("chartab", parents=[common],
                                help="character table of GL_n or O_n")
+    _cache_flag(p_chartab)
     p_chartab.add_argument("--type", choices=("gl", "o"), required=True)
     p_chartab.add_argument("--n", type=int, required=True)
     p_chartab.add_argument("--q", type=int, required=True)
@@ -299,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common],
                               help="verify one pair; n is the small group "
                                    "size, the pair is KIND_{n+1} > KIND_n")
+    _cache_flag(p_verify)
     p_verify.add_argument("--kind", choices=("gl", "o"), required=True)
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--q", type=int, required=True)
@@ -308,6 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="verify a grid of pairs")
+    _cache_flag(p_sweep)
+    p_sweep.add_argument("--threads", type=int, default=0,
+                         help="sweep parallelism; 0 = auto, 1 = sequential")
     p_sweep.add_argument("--kind", choices=("gl", "o", "all"), default="all")
     p_sweep.add_argument("--points",
                          help='explicit grid "kind:N:q,..." with N the BIG '

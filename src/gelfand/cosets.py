@@ -2,10 +2,11 @@
 
 K is the embedded subgroup itself, or the subgroup it generates together
 with the center of G ("mod center").  Each generator of H acts on G by left
-multiplication and each generator of K by right multiplication; one batched
-product per generator (``GroupTable.perm``) turns these into id
-permutations, and ``groups.orbits`` labels their orbits, the double cosets,
-by their minimal element ids.  Coset ids follow those representatives in
+multiplication and each generator of K by right multiplication; their id
+permutations come from ``GroupTable.id_perm``, which computes each one once
+per group, so the plain and mod-center decompositions share them, and
+``groups.orbits`` labels their orbits, the double cosets, by their minimal
+element ids.  Coset ids follow those representatives in
 ascending order, so they are canonical for a fixed element order.
 
 The transpose map g -> g^T is an anti-involution; it permutes double cosets
@@ -60,12 +61,11 @@ def double_cosets(g: GroupTable, emb: Embedding,
     """Partition g into H x K orbits, K = H or the subgroup <Z(G), H>."""
     if emb.big is not g:
         raise InternalCheckError("embedding does not target this group")
-    left_gens = [g.mat[emb.map[i]] for i in emb.small.generator_ids]
-    perms = [g.perm(h, left=True) for h in left_gens]
-    perms += [g.perm(h) for h in left_gens]
+    gens = [emb.map[i] for i in emb.small.generator_ids]
+    perms = [g.id_perm(h, left=True) for h in gens]
+    perms += [g.id_perm(h) for h in gens]
     if mod_center:
-        perms += [g.perm(g.mat[z]) for z in g.center_ids()
-                  if z != g.identity_id]
+        perms += [g.id_perm(z) for z in g.center_ids() if z != g.identity_id]
     reps, coset_of = np.unique(orbits(perms, g.order), return_inverse=True)
     return DoubleCosetDecomposition(g, emb, mod_center, coset_of.tolist(),
                                     reps.tolist(), len(reps))

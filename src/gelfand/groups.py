@@ -8,12 +8,18 @@ is not in the group, so every batched lookup is also a membership check.
 The fixed order makes coset representatives, class representatives and
 reports reproducible bit for bit.  MatFq objects are built only on demand.
 
-Every pass over the whole group is a batched product
-(``matrix.mul_batch``: every element times one fixed matrix, on the left or
-on the right) turned into an id permutation by ``ids_of``.  ``orbits``
-labels the orbits of a set of such permutations by their minimal element
-id; generated subgroups, double cosets and conjugacy classes are all orbits
-of this kind.
+A product of the whole group by one fixed matrix (``matrix.mul_batch``,
+on the left or on the right) turned into an int32 id permutation by
+``ids_of`` is computed once per element and side (``id_perm``, memoised).
+The left and right permutations of the generators, lambda_g: x -> g x and
+rho_g: x -> x g, carry the rest as gathers: the center is where they agree,
+conjugation by g is lambda_g after rho_g^-1, and one BFS tree from the
+identity under left multiplication (a Schreier tree, Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, ch. 4) spreads both the
+inverse table and the right-regular rows x -> x t of any elements t with
+no further product.  ``orbits`` labels the orbits of a set of id
+permutations by their minimal element id; generated subgroups, double
+cosets and conjugacy classes are all orbits of this kind.
 
 GL is enumerated by extending linearly independent row prefixes (the span
 of the chosen rows is carried along, so the q^(n^2) ambient space is never
@@ -32,11 +38,12 @@ import numpy as np
 
 from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import Fq
-from .matrix import (MatFq, identity_flat, inverse_flat, mul_batch, mul_flat,
-                     vec_dot)
+from .matrix import MatFq, identity_flat, mul_batch, mul_flat, vec_dot
 
 DEFAULT_GROUP_CAP = 25_000
 O_FILTER_FEASIBLE = 10 ** 7
+# largest block of right-regular rows built at once, in int32 entries
+ROW_CHUNK = 2 ** 17
 
 
 def gl_order(n: int, q: int) -> int:
@@ -96,7 +103,7 @@ def orbits(perms, size: int) -> np.ndarray:
     At the fixpoint label[x] <= label[p[x]] for every p, which along the
     cycles of each p forces equality, so each orbit carries its minimal id.
     """
-    label = np.arange(size)
+    label = np.arange(size, dtype=np.int32)
     while True:
         prev = label
         for p in perms:
@@ -104,6 +111,13 @@ def orbits(perms, size: int) -> np.ndarray:
         label = label[label]
         if np.array_equal(label, prev):
             return label
+
+
+def invert_perm(p: np.ndarray) -> np.ndarray:
+    """The inverse of an id permutation."""
+    inv = np.empty_like(p)
+    inv[p] = np.arange(len(p), dtype=p.dtype)
+    return inv
 
 
 class GroupTable:
@@ -128,12 +142,13 @@ class GroupTable:
         self._inverse_ids = None
         self._transpose_ids = None
         self._center_ids = None
+        self._id_perms: dict[tuple[int, bool], np.ndarray] = {}
 
     # -- lookup ---------------------------------------------------------------
 
     def ids_of(self, batch: np.ndarray) -> np.ndarray:
-        """Element id of every row of a uint8 batch; raises if any row is
-        not in the group."""
+        """Element id (int32) of every row of a uint8 batch; raises if any
+        row is not in the group."""
         codes = encode(batch, self.field.q)
         ids = np.minimum(np.searchsorted(self.codes, codes), self.order - 1)
         missing = np.flatnonzero(self.codes[ids] != codes)
@@ -141,7 +156,7 @@ class GroupTable:
             row = tuple(np.asarray(batch)[missing[0]].tolist())
             raise InternalCheckError(
                 f"matrix {row} not in {self.kind}_{self.n}(F_{self.field.q})")
-        return ids
+        return ids.astype(np.int32)
 
     def id_of_entries(self, entries: tuple) -> int:
         """Element id for a flat entry tuple; raises if not in the group."""
@@ -160,6 +175,7 @@ class GroupTable:
         return [self.element(i) for i in range(self.order)]
 
     def mul_ids(self, i: int, j: int) -> int:
+        """Product of two ids, one element at a time (a reference for tests)."""
         return self.id_of_entries(mul_flat(
             self.element(i).entries, self.element(j).entries, self.n,
             self.field))
@@ -170,6 +186,13 @@ class GroupTable:
         return self.ids_of(mul_batch(m, self.mat, n, f) if left
                            else mul_batch(self.mat, m, n, f))
 
+    def id_perm(self, i: int, left: bool = False) -> np.ndarray:
+        """``perm`` of element id i, computed once per id and side."""
+        key = (int(i), left)
+        if key not in self._id_perms:
+            self._id_perms[key] = self.perm(self.mat[i], left)
+        return self._id_perms[key]
+
     # -- distinguished data (computed lazily, cached) ---------------------------
 
     @property
@@ -178,32 +201,73 @@ class GroupTable:
             self._generator_ids = _greedy_generators(self)
         return self._generator_ids
 
+    @functools.cached_property
+    def generator_perms(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(lambda_g, rho_g) for the generators g: x -> g x and x -> x g."""
+        gens = self.generator_ids
+        return ([self.id_perm(g, left=True) for g in gens],
+                [self.id_perm(g) for g in gens])
+
+    @functools.cached_property
+    def schreier_tree(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """BFS tree from the identity under left multiplication by the
+        generators, as edges (k, xs, ys) with ys = g_k xs, in BFS order:
+        each x is reached before any edge leaves it."""
+        left, _ = self.generator_perms
+        seen = np.zeros(self.order, dtype=bool)
+        seen[self.identity_id] = True
+        frontier = np.array([self.identity_id], dtype=np.int32)
+        edges = []
+        while frontier.size:
+            found = []
+            for k, lam in enumerate(left):
+                ys, first = np.unique(lam[frontier], return_index=True)
+                fresh = ~seen[ys]
+                ys, xs = ys[fresh], frontier[first[fresh]]
+                if ys.size:
+                    seen[ys] = True
+                    edges.append((k, xs, ys))
+                    found.append(ys)
+            frontier = np.concatenate(found) if found else frontier[:0]
+        if not seen.all():
+            raise InternalCheckError("generators do not reach every element")
+        return edges
+
+    def right_rows(self, t):
+        """Right-regular rows x -> x t of the ids t, as int32 blocks of shape
+        (rows, order) of at most ROW_CHUNK entries.
+
+        No product: the identity's entry is t, and along each tree edge
+        y = g x, y t = g (x t) is lambda_g of x's entry."""
+        t = np.asarray(t, dtype=np.int32)
+        left, _ = self.generator_perms
+        step = max(1, ROW_CHUNK // self.order)
+        for start in range(0, len(t), step):
+            block = t[start:start + step]
+            rows = np.empty((self.order, len(block)), dtype=np.int32)
+            rows[self.identity_id] = block
+            for k, xs, ys in self.schreier_tree:
+                rows[ys] = left[k][rows[xs]]
+            yield rows.T
+
+    def conjugation_perms(self) -> list[np.ndarray]:
+        """x -> g x g^-1 for each generator g: lambda_g after rho_g^-1."""
+        left, right = self.generator_perms
+        return [lam[invert_perm(rho)] for lam, rho in zip(left, right)]
+
     @property
     def inverse_ids(self) -> np.ndarray:
-        """inv[x g] = g^-1 inv[x], spread from the identity along the
-        generators, then checked as x inv[x] = 1 for every x."""
+        """Along each tree edge y = g x, y^-1 = x^-1 g^-1 = rho_g^-1(x^-1);
+        then checked as x inv[x] = 1 for every x by one batched product."""
         if self._inverse_ids is None:
-            n, f = self.n, self.field
-            steps = []
-            for g in self.generator_ids:
-                row = self.mat[g]
-                g_inv = np.array(inverse_flat(tuple(row.tolist()), n, f),
-                                 dtype=np.uint8)
-                steps.append((self.perm(row), self.perm(g_inv, left=True)))
-            inv = np.full(self.order, -1)
+            _, right = self.generator_perms
+            back = [invert_perm(rho) for rho in right]
+            inv = np.empty(self.order, dtype=np.int32)
             inv[self.identity_id] = self.identity_id
-            frontier = np.array([self.identity_id])
-            while frontier.size and steps:
-                found = []
-                for right, left_inv in steps:
-                    y = right[frontier]
-                    fresh = inv[y] < 0
-                    inv[y[fresh]] = left_inv[inv[frontier[fresh]]]
-                    found.append(y[fresh])
-                frontier = np.concatenate(found)
-            if np.any(inv < 0) or np.any(
-                    mul_batch(self.mat, self.mat[inv], n, f)
-                    != self.mat[self.identity_id]):
+            for k, xs, ys in self.schreier_tree:
+                inv[ys] = back[k][inv[xs]]
+            if np.any(mul_batch(self.mat, self.mat[inv], self.n, self.field)
+                      != self.mat[self.identity_id]):
                 raise InternalCheckError("inverse table is wrong")
             self._inverse_ids = inv
         return self._inverse_ids
@@ -218,13 +282,12 @@ class GroupTable:
         return self._transpose_ids
 
     def center_ids(self) -> list[int]:
-        """Ids of elements commuting with the whole group (via generators)."""
+        """Ids of elements commuting with every generator: lambda_g = rho_g."""
         if self._center_ids is None:
             n, q = self.n, self.field.q
             central = np.ones(self.order, dtype=bool)
-            for g in self.generator_ids:
-                row = self.mat[g]
-                central &= self.perm(row) == self.perm(row, left=True)
+            for lam, rho in zip(*self.generator_perms):
+                central &= lam == rho
             center = np.flatnonzero(central).tolist()
             if self.kind == "GL":
                 scalars = np.zeros((q - 1, n * n), dtype=np.uint8)
@@ -269,7 +332,7 @@ def _greedy_generators(table: GroupTable) -> list[int]:
         if known[cand]:
             continue
         gens.append(cand)
-        perms.append(table.perm(table.mat[cand]))
+        perms.append(table.id_perm(cand))
         label = orbits(perms, table.order)
         known = label == label[table.identity_id]
     if not known.all():

@@ -22,9 +22,10 @@ from pathlib import Path
 from .chartab import (character_table, conjugacy_classes, dim_invariants,
                       transpose_preserves_classes, verify_pair)
 from .cosets import classify_nonfixed_gl, double_cosets, involution_action
-from .errors import DomainError
-from .field import field_from_q
-from .groups import DEFAULT_GROUP_CAP, embed_standard, enumerate_gl, enumerate_o
+from .errors import CapExceededError, DomainError
+from .field import Fq, field_from_q
+from .groups import (DEFAULT_GROUP_CAP, GroupTable, embed_standard,
+                     enumerate_gl, enumerate_o)
 
 REPORT_SCHEMA = "gelfand-report/1"
 
@@ -94,6 +95,16 @@ class VerificationReport:
         return path
 
 
+def enumerate_group(kind: str, n: int, field: Fq,
+                    cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
+    """KIND_n(F_q) for kind "gl" or "o"."""
+    # looked up per call, so a replaced enumerate_gl or enumerate_o is used
+    enum = {"gl": enumerate_gl, "o": enumerate_o}.get(kind)
+    if enum is None:
+        raise DomainError(f"unknown pair kind {kind!r}")
+    return enum(n, field, cap)
+
+
 def run_verify(kind: str, n: int, q: int, *,
                cap: int = DEFAULT_GROUP_CAP,
                cache_dir: str | Path | None = None) -> VerificationReport:
@@ -118,9 +129,10 @@ def run_verify(kind: str, n: int, q: int, *,
     field = staged("field", lambda: field_from_q(q))
     if kind == "o" and field.p == 2:
         raise DomainError("orthogonal pairs require q odd (not a power of 2)")
-    enum = enumerate_gl if kind == "gl" else enumerate_o
-    big = staged("enumerate_group", lambda: enum(n + 1, field, cap))
-    small = staged("enumerate_subgroup", lambda: enum(n, field, cap))
+    big = staged("enumerate_group",
+                 lambda: enumerate_group(kind, n + 1, field, cap))
+    small = staged("enumerate_subgroup",
+                   lambda: enumerate_group(kind, n, field, cap))
     emb = staged("embed", lambda: embed_standard(small, big))
     center = staged("center", lambda: big.center_ids())
 
@@ -208,6 +220,7 @@ class SweepRow:
     bound: int | None = None
     seconds: float = 0.0
     error: str | None = None
+    error_kind: str | None = None  # "domain", "cap" or "internal"
     report_path: str | None = None
 
     def label(self) -> str:
@@ -223,12 +236,17 @@ class SweepSummary:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
+    @property
+    def any_internal(self) -> bool:
+        return any(r.error_kind == "internal" for r in self.rows)
+
     def table_text(self) -> str:
         lines = [f"{'pair':<18} {'k':>3} {'max_dim':>8} {'bound':>6} "
                  f"{'pass':>5} {'seconds':>8}"]
         for r in self.rows:
             if r.error is not None:
-                lines.append(f"{r.label():<18} error: {r.error}")
+                lines.append(f"{r.label():<18} {r.error_kind} error: "
+                             f"{r.error}")
                 continue
             lines.append(f"{r.label():<18} {r.k:>3} {r.max_dim_inv:>8} "
                          f"{r.bound:>6} {str(r.passed).lower():>5} "
@@ -247,6 +265,7 @@ class SweepSummary:
                 "max_dim_inv": r.max_dim_inv,
                 "bound": r.bound,
                 "error": r.error,
+                "error_kind": r.error_kind,
                 "report": r.report_path,
             } for r in self.rows],
             "all_pass": self.all_passed,
@@ -263,14 +282,25 @@ def default_points(kind: str = "all") -> list[tuple[str, int, int]]:
     return pts
 
 
+def error_kind(exc: Exception) -> str:
+    """A sweep row's error kind: cap or domain for a refused input,
+    internal for anything else (a failed consistency check or a crash)."""
+    if isinstance(exc, CapExceededError):
+        return "cap"
+    if isinstance(exc, DomainError):
+        return "domain"
+    return "internal"
+
+
 def _sweep_point(args):
     kind, n, q, cap, cache_dir = args
     t0 = time.perf_counter()
     try:
         report = run_verify(kind, n, q, cap=cap, cache_dir=cache_dir)
     except Exception as exc:
-        return kind, n, q, None, str(exc), time.perf_counter() - t0
-    return kind, n, q, report, None, time.perf_counter() - t0
+        return (kind, n, q, None, str(exc), error_kind(exc),
+                time.perf_counter() - t0)
+    return kind, n, q, report, None, None, time.perf_counter() - t0
 
 
 def run_sweep(points: list[tuple[str, int, int]] | None = None,
@@ -291,10 +321,10 @@ def run_sweep(points: list[tuple[str, int, int]] | None = None,
             results = list(pool.map(_sweep_point, tasks))
 
     rows = []
-    for kind, n, q, report, error, seconds in results:
+    for kind, n, q, report, error, why, seconds in results:
         if report is None:
             rows.append(SweepRow(kind, n, q, passed=False, error=error,
-                                 seconds=round(seconds, 3)))
+                                 error_kind=why, seconds=round(seconds, 3)))
             continue
         path_str = None
         if out_dir is not None:

@@ -12,11 +12,11 @@ and the cases are dispatched in a fixed priority order:
      identity when r1 = 0, otherwise the identity with the diagonal slot
      paired to the first nonzero coordinate of r1 zeroed (which keeps the
      assembled matrix invertible for every field).
-  3. v1 = 0: solve the swapped instance (v, phi) and invert the result.
-  4. a1 = 0 or b1 = 0 (phi1, v1 != 0): recurse for A*phi1 = v1.  With
-     b1 = 0, r1 only needs <r1, phi1> = a1 (supported on the first nonzero
-     coordinate of phi1) and c is 0 or 1, whichever makes B invertible;
-     a1 = 0 with b1 != 0 reduces to that by the same swap as case 3.
+  3. v1 = 0, or a1 = 0 with b1 != 0: solve the swapped instance (v, phi)
+     and invert the result (the swapped instance is case 2 or 4).
+  4. b1 = 0 (phi1, v1 != 0): recurse for A*phi1 = v1; r1 only needs
+     <r1, phi1> = a1 (supported on the first nonzero coordinate of phi1)
+     and c is 0 or 1, whichever makes B invertible.
   5. everything nonzero: c = a1/b1, r1 = 0, recurse for A*phi1 = v1.
 
 A failure of both c candidates in case 4 would contradict the construction
@@ -77,18 +77,14 @@ def _solve(field: Fq, phi: tuple, v: tuple) -> list[list[int]]:
             rows.append([r1[i]] + arow)
         return rows
 
-    if not any(v1):
+    if not any(v1) or (a1 == 0 and b1 != 0):
+        # B^-1 v = phi: solve the swapped instance and invert
         swapped = _solve(field, v, phi)
         flat = tuple(x for row in swapped for x in row)
         inv = inverse_flat(flat, n, field)
         return [list(inv[i * n:(i + 1) * n]) for i in range(n)]
 
-    if b1 == 0 or a1 == 0:
-        if b1 != 0:  # a1 = 0: same situation after swapping phi and v
-            swapped = _solve(field, v, phi)
-            flat = tuple(x for row in swapped for x in row)
-            inv = inverse_flat(flat, n, field)
-            return [list(inv[i * n:(i + 1) * n]) for i in range(n)]
+    if b1 == 0:
         a_block = _solve(field, phi1, v1)
         j0 = next(i for i, x in enumerate(phi1) if x)
         r1 = [0] * (n - 1)

@@ -264,3 +264,38 @@ def test_cli_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_verify", boom)
     assert main(["verify", "--kind", "gl", "--n", "1", "--q", "2"]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_sweep_exits_3_on_an_internal_error(monkeypatch, tmp_path, capsys):
+    from gelfand import pipeline
+    from gelfand.errors import InternalCheckError
+
+    def boom(*args, **kwargs):
+        raise InternalCheckError("synthetic consistency failure")
+
+    monkeypatch.setattr(pipeline, "run_verify", boom)
+    assert main(["sweep", "--points", "gl:2:2,gl:2:3", "--threads", "1",
+                 "--out-dir", str(tmp_path)]) == 3
+    assert "internal error: synthetic" in capsys.readouterr().out
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert [p["error_kind"] for p in data["points"]] == ["internal"] * 2
+
+
+def test_sweep_domain_and_cap_errors_exit_1(tmp_path, capsys):
+    assert main(["sweep", "--points", "o:2:4,gl:3:5", "--threads", "1",
+                 "--cap-group-order", "100", "--out-dir", str(tmp_path)]) == 1
+    assert "domain error:" in capsys.readouterr().out
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert [p["error_kind"] for p in data["points"]] == ["domain", "cap"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "info", "--q", "4", "--threads", "2"],
+    ["group", "order", "--type", "gl", "--n", "2", "--q", "2",
+     "--cache-dir", "x"],
+    ["verify", "--kind", "gl", "--n", "1", "--q", "2", "--threads", "2"],
+])
+def test_flags_only_where_they_act(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -1,15 +1,18 @@
-"""The batched group kernel: mul_batch, ids_of and orbits."""
+"""The batched group kernel: mul_batch, ids_of, orbits, and the generator
+permutations with the Schreier tree that gathers build on."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from gelfand.chartab import conjugacy_classes
+from gelfand.chartab import (_structure_constants, conjugacy_classes,
+                             element_order, element_orders, group_exponent)
 from gelfand.errors import InternalCheckError
 from gelfand.field import field_from_q
-from gelfand.groups import enumerate_gl, orbits
-from gelfand.matrix import mul_batch, mul_flat
+from gelfand.groups import enumerate_gl, enumerate_o, orbits
+from gelfand.matrix import inverse_flat, mul_batch, mul_flat
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 4, 8])
@@ -67,3 +70,58 @@ GL_CLASS_COUNTS = {1: lambda q: q - 1, 2: lambda q: q ** 2 - 1,
 def test_gl_class_counts_match_the_closed_form(n, q):
     g = enumerate_gl(n, field_from_q(q))
     assert conjugacy_classes(g).count == GL_CLASS_COUNTS[n](q)
+
+
+# -- generator permutations and the Schreier tree --------------------------------
+
+KERNEL_GROUPS = {"GL3(F3)": (enumerate_gl, 3, 3), "GL2(F4)": (enumerate_gl, 2, 4),
+                 "O3(F3)": (enumerate_o, 3, 3)}
+
+
+@pytest.fixture(scope="module", params=sorted(KERNEL_GROUPS))
+def group(request):
+    enum, n, q = KERNEL_GROUPS[request.param]
+    return enum(n, field_from_q(q))
+
+
+def test_right_rows_equal_batched_products(group):
+    g = group
+    reps = conjugacy_classes(g).reps
+    ids = sorted(set(reps) | set(range(0, g.order, max(1, g.order // 40))))
+    rows = np.vstack(list(g.right_rows(ids)))
+    assert rows.dtype == np.int32 and rows.shape == (len(ids), g.order)
+    for t, row in zip(ids, rows):
+        assert np.array_equal(row, g.perm(g.mat[t]))
+
+
+def test_conjugation_perms_equal_direct_products(group):
+    g = group
+    n, f = g.n, g.field
+    for a, conj in zip(g.generator_ids, g.conjugation_perms()):
+        a_inv = np.array(inverse_flat(tuple(g.mat[a].tolist()), n, f),
+                         dtype=np.uint8)
+        direct = g.ids_of(mul_batch(mul_batch(g.mat[a], g.mat, n, f),
+                                    a_inv, n, f))
+        assert np.array_equal(conj, direct)
+
+
+def test_exponent_is_the_lcm_of_brute_force_orders(group):
+    g = group
+    reps = conjugacy_classes(g).reps
+    brute = [element_order(g, r) for r in reps]
+    assert element_orders(g, reps) == brute
+    assert group_exponent(g, conjugacy_classes(g)) == math.lcm(*brute)
+
+
+def test_corrupted_tree_fails_the_structure_constant_cross_check(
+        group, monkeypatch):
+    g = group
+    classes = conjugacy_classes(g)  # inverses come from the intact tree
+    tree = list(g.schreier_tree)
+    at = max(range(len(tree)), key=lambda i: len(tree[i][2]))
+    k, xs, ys = tree[at]
+    tree[at] = (k, xs, ys[::-1])
+    monkeypatch.setattr(g, "schreier_tree", tree)
+    with pytest.raises(InternalCheckError,
+                       match="class rep .* differs from its batched product"):
+        _structure_constants(g, classes)
