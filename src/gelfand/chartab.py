@@ -6,7 +6,7 @@ generators' cached left and right permutations
 (``GroupTable.conjugation_perms``); class ids follow the minimal element
 ids.  The right-regular rows x -> x t of the class representatives t
 (``GroupTable.right_rows``, gathers along the Schreier tree) give both the
-element orders and the structure constants.
+element orders and the structure constants, in one walk.
 
 Character values live in Z[zeta_m] for m the group exponent; instead of
 cyclotomic arithmetic everything is computed in F_l for a prime l chosen
@@ -21,11 +21,14 @@ structure constants a_ijm (z_i z_j = sum_m a_ijm z_m;
 counted with ``np.bincount`` from the rows of the class representatives;
 one row is recomputed by a batched product as a cross-check), the vector
 w = (omega(z_1), ..., omega(z_k)) of a central character satisfies
-N_i w = w_i w for the matrix N_i[j][m] = a_ijm.  The N_i commute, so
-iterated eigenspace splitting over F_l (class matrices in ascending class
-id order, eigenvalues ascending within a space) reaches k one-dimensional
-common eigenspaces, one per irreducible.  Degrees follow from the first
-orthogonality relation, values from chi_i = d * w_i / h_i.
+N_i w = w_i w for the matrix N_i[j][m] = a_ijm, so the k vectors w are
+eigenvectors of N = sum_i s^i N_i.  The identity-class unit vector u has a
+nonzero component d_chi^2/|G| on every w_chi; a Krylov basis of u gives the
+minimal polynomial P of N, and each Lagrange projection P(N)/(N - mu) u is
+u's component at one eigenvalue mu.  With s = 2 these are usually the k
+vectors w; components sharing an eigenvalue are split again by s = 3, 4,
+..., k + 1.  Degrees follow from the first orthogonality relation, values
+from chi_i = d * w_i / h_i.
 
 Invariant dimensions are averaged character sums:
 dim pi^H = (1/|H|) sum_{h in H} chi(h), computed mod l and lifted into
@@ -93,23 +96,26 @@ def element_order(g: GroupTable, i: int) -> int:
     return m
 
 
+def _block_orders(g: GroupTable, rows: np.ndarray) -> list[int]:
+    """Orders of the elements t whose rows x -> x t form the block: t^(m+1)
+    is t's row read at t^m, until every power reaches the identity."""
+    e = g.identity_id
+    cur = rows[:, e].copy()  # t itself
+    order = np.ones(len(cur), dtype=np.int64)
+    live = np.flatnonzero(cur != e)
+    while live.size:
+        if order[live[0]] >= g.order:
+            raise InternalCheckError("element powers never reach the "
+                                     "identity; right rows are wrong")
+        cur[live] = rows[live, cur[live]]
+        order[live] += 1
+        live = live[cur[live] != e]
+    return order.tolist()
+
+
 def element_orders(g: GroupTable, ids) -> list[int]:
-    """Orders of the given elements: t^(m+1) is the row x -> x t read at
-    t^m, iterated until every power reaches the identity."""
-    orders = []
-    for rows in g.right_rows(ids):
-        cur = rows[:, g.identity_id].copy()  # t itself
-        order = np.ones(len(cur), dtype=np.int64)
-        live = np.flatnonzero(cur != g.identity_id)
-        while live.size:
-            if order[live[0]] >= g.order:
-                raise InternalCheckError("element powers never reach the "
-                                         "identity; right rows are wrong")
-            cur[live] = rows[live, cur[live]]
-            order[live] += 1
-            live = live[cur[live] != g.identity_id]
-        orders += order.tolist()
-    return orders
+    """Orders of the given elements, read from their right-regular rows."""
+    return [o for rows in g.right_rows(ids) for o in _block_orders(g, rows)]
 
 
 def group_exponent(g: GroupTable, classes: ConjClasses) -> int:
@@ -175,44 +181,7 @@ def _rref(mat: np.ndarray, l: int):
     return m, pivots
 
 
-def _nullspace(mat: np.ndarray, l: int) -> np.ndarray:
-    """Columns spanning the kernel of mat over F_l."""
-    rows, cols = mat.shape
-    r, pivots = _rref(mat, l)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-int(r[i, fc])) % l
-    return basis
-
-
-def _restrict(n_mat: np.ndarray, basis: np.ndarray, l: int) -> np.ndarray:
-    """Matrix of the action of n_mat on an invariant column space."""
-    r = basis.shape[1]
-    image = (n_mat @ basis) % l
-    red, pivots = _rref(np.hstack([basis, image]), l)
-    if pivots[:r] != list(range(r)):
-        raise InternalCheckError("subspace basis lost column independence")
-    return red[:r, r:]
-
-
-def _charpoly(a: np.ndarray, l: int) -> list[int]:
-    """Coefficients c_0..c_r of det(x I - a) mod l (Faddeev-LeVerrier)."""
-    r = a.shape[0]
-    coeffs = [0] * (r + 1)
-    coeffs[r] = 1
-    m = np.eye(r, dtype=np.int64)
-    for k in range(1, r + 1):
-        x = (a @ m) % l
-        c = (-int(np.trace(x)) * pow(k, -1, l)) % l
-        coeffs[r - k] = c
-        m = (x + c * np.eye(r, dtype=np.int64)) % l
-    return coeffs
-
-
-def _poly_roots(coeffs: list[int], l: int) -> np.ndarray:
+def _poly_roots(coeffs: np.ndarray, l: int) -> np.ndarray:
     lam = np.arange(l, dtype=np.int64)
     acc = np.zeros(l, dtype=np.int64)
     for c in reversed(coeffs):
@@ -220,45 +189,72 @@ def _poly_roots(coeffs: list[int], l: int) -> np.ndarray:
     return np.nonzero(acc == 0)[0]
 
 
-def _split_eigenspaces(class_mats: list[np.ndarray], l: int,
-                       identity_class: int) -> list[np.ndarray]:
-    """Common eigenvectors of the commuting class matrices, one per irreducible."""
-    k = len(class_mats)
-    subspaces = [np.eye(k, dtype=np.int64)]
-    for idx in range(k):
-        if all(b.shape[1] == 1 for b in subspaces):
+def _separator_bases(k: int) -> range:
+    # two central characters share an eigenvalue of sum_i s^i N_i only at
+    # the < k roots of a nonzero polynomial in s: k values separate them all
+    return range(2, k + 2)
+
+
+def _lagrange_split(n_mat: np.ndarray, v: np.ndarray, l: int,
+                    cap: int) -> np.ndarray:
+    """v's components in the eigenspaces of n_mat, as columns: the Krylov
+    basis K = [v, N v, ...] (no longer than cap, the characters v may hold)
+    gives the minimal polynomial P of N on v, and K (P(x) / (x - mu)) the
+    component at mu."""
+    krylov = np.zeros((len(v), cap + 1), dtype=np.int64)
+    krylov[:, 0] = v
+    for j in range(cap):
+        krylov[:, j + 1] = n_mat @ krylov[:, j] % l
+    red, pivots = _rref(krylov, l)
+    r = len(pivots)
+    if r > cap:
+        raise InternalCheckError("a Krylov space outgrows its part")
+    # N^r v = sum_j red[j, r] N^j v, so P = x^r - sum_j red[j, r] x^j
+    poly = np.append(-red[:r, r] % l, 1)
+    mu = _poly_roots(poly, l)
+    if len(mu) != r:
+        raise InternalCheckError("a class-algebra element is not "
+                                 "diagonalisable over F_l")
+    # synthetic division by every x - mu_j at once: q_(i-1) = p_i + mu_j q_i
+    quot = np.ones((r, r), dtype=np.int64)
+    for i in range(r - 1, 0, -1):
+        quot[:, i - 1] = (poly[i] + mu * quot[:, i]) % l
+    return krylov[:, :r] @ quot.T % l
+
+
+def _split_eigenspaces(a: np.ndarray, l: int,
+                       identity_class: int) -> np.ndarray:
+    """Common eigenvectors of the class matrices N_i = a[i], one per
+    irreducible, as the columns of a (k, k) array with identity entry 1:
+    each N = sum_i s^i N_i splits every part of the identity-class unit
+    vector into its components in N's eigenspaces."""
+    k = a.shape[0]
+    flat = a.reshape(k, k * k)  # a view: the (k, k, k) tensor is not copied
+    parts = np.zeros((k, 1), dtype=np.int64)
+    parts[identity_class, 0] = 1
+    used = []
+    for s in _separator_bases(k):
+        if parts.shape[1] == k:
             break
-        n_mat = class_mats[idx] % l
-        refined = []
-        for basis in subspaces:
-            r = basis.shape[1]
-            if r == 1:
-                refined.append(basis)
-                continue
-            a = _restrict(n_mat, basis, l)
-            roots = _poly_roots(_charpoly(a, l), l)
-            total = 0
-            for root in roots:
-                ker = _nullspace((a - int(root) * np.eye(r, dtype=np.int64)) % l, l)
-                if ker.shape[1] == 0:
-                    continue
-                refined.append((basis @ ker) % l)
-                total += ker.shape[1]
-            if total != r:
-                raise InternalCheckError(
-                    "class matrix is not diagonalizable over F_l")
-        subspaces = refined
-    if len(subspaces) != k or any(b.shape[1] != 1 for b in subspaces):
+        coeffs = np.array([pow(s, i, l) for i in range(k)], dtype=np.int64)
+        used.append((coeffs @ flat).reshape(k, k) % l)
+        parts = np.hstack([_lagrange_split(used[-1], v, l,
+                                           k - parts.shape[1] + 1)
+                           for v in parts.T])
+    if parts.shape[1] != k:
         raise InternalCheckError(
-            "eigenspace splitting did not reach k one-dimensional spaces")
-    vectors = []
-    for basis in subspaces:
-        v = basis[:, 0] % l
-        pivot = int(v[identity_class])
-        if pivot == 0:
-            raise InternalCheckError("central character vanishes at the identity")
-        vectors.append((v * pow(pivot, -1, l)) % l)
-    return vectors
+            f"no separating class-algebra elements among s in "
+            f"{_separator_bases(k)} for k = {k} classes mod l = {l}")
+    pivot = parts[identity_class]
+    if not pivot.all():
+        raise InternalCheckError("central character vanishes at the identity")
+    vecs = parts * [pow(int(p), -1, l) for p in pivot] % l
+    for n_mat in used:
+        images = n_mat @ vecs % l
+        if not np.array_equal(images, vecs * images[identity_class] % l):
+            raise InternalCheckError("a Lagrange projection is not an "
+                                     "eigenvector of a separating element")
+    return vecs
 
 
 # -- the character table ---------------------------------------------------------
@@ -280,35 +276,44 @@ class CharacterTable:
         return self.classes.class_of[self.group.identity_id]
 
 
-def _structure_constants(g: GroupTable, classes: ConjClasses) -> np.ndarray:
-    """a[i, j, m] = #{(x, y) in C_i x C_j : x y = t_m} for fixed t_m.
+def _class_algebra(g: GroupTable,
+                   classes: ConjClasses) -> tuple[list[int], np.ndarray]:
+    """Orders of the class reps t_m and a[i, j, m] = #{(x, y) in C_i x C_j :
+    x y = t_m}, from one walk over the reps' right-regular rows.
 
     The pairs are (u^-1, u t_m) for u in G, so each class rep t_m needs the
-    class of every u t_m: its right-regular row.  The row of the last rep
-    is also computed by one batched product, and any difference raises."""
+    class of every u t_m: its right-regular row.  The first block's last row
+    is also made by one batched product, checked before any order is read."""
     k = classes.count
     class_of = np.array(classes.class_of)
     inv_cell = class_of[g.inverse_ids] * k
     a = np.zeros((k, k, k), dtype=np.int64)
+    orders = []
     m_idx = 0
     for rows in g.right_rows(classes.reps):
         for row in rows:
             a[:, :, m_idx] = np.bincount(inv_cell + class_of[row],
                                          minlength=k * k).reshape(k, k)
             m_idx += 1
-    rep = classes.reps[-1]
-    if rep != g.identity_id and not np.array_equal(rows[-1],
-                                                   g.perm(g.mat[rep])):
-        raise InternalCheckError(
-            f"right-regular row of class rep {format_matrix(g.element(rep))} "
-            "differs from its batched product")
+        rep = classes.reps[m_idx - 1]
+        if m_idx == len(rows) and rep != g.identity_id and not np.array_equal(
+                rows[-1], g.perm(g.mat[rep])):
+            raise InternalCheckError("right-regular row of class rep "
+                                     f"{format_matrix(g.element(rep))} "
+                                     "differs from its batched product")
+        orders += _block_orders(g, rows)
     # orientation sanity: x y = identity forces y = x^-1
     expected = np.zeros((k, k), dtype=np.int64)
     expected[np.arange(k), classes.inverse_class] = classes.sizes
     if not np.array_equal(a[:, :, class_of[g.identity_id]], expected):
         raise InternalCheckError("structure constants fail the "
                                  "inverse-class identity")
-    return a
+    return orders, a
+
+
+def _structure_constants(g: GroupTable, classes: ConjClasses) -> np.ndarray:
+    """The structure constants of ``_class_algebra`` alone."""
+    return _class_algebra(g, classes)[1]
 
 
 def _verify_orthogonality(t: CharacterTable):
@@ -346,25 +351,19 @@ def character_table(g: GroupTable, classes: ConjClasses,
         if cached is not None:
             return cached
 
-    k = classes.count
     order = g.order
-    exponent = group_exponent(g, classes)
+    orders, a = _class_algebra(g, classes)
+    exponent = math.lcm(*orders)
     l = choose_modulus(order, exponent, prime_bound)
     root = pow(_smallest_primitive_root(l), (l - 1) // exponent, l)
 
-    a = _structure_constants(g, classes)
-    class_mats = list(a)
-    e_cls = classes.class_of[g.identity_id]
-    vectors = _split_eigenspaces(class_mats, l, e_cls)
-
-    inv_sizes = [pow(s, -1, l) for s in classes.sizes]
+    # one normalised central character w per row
+    w = _split_eigenspaces(a, l, classes.class_of[g.identity_id]).T
+    inv_sizes = np.array([pow(s, -1, l) for s in classes.sizes])
+    denoms = (w * w[:, classes.inverse_class] % l * inv_sizes % l).sum(1) % l
     sqrt_cap = math.isqrt(order)
-    rows = []
-    for w in vectors:
-        s = 0
-        for i in range(k):
-            s = (s + int(w[i]) * int(w[classes.inverse_class[i]])
-                 * inv_sizes[i]) % l
+    lifted = []
+    for s in denoms.tolist():
         if s == 0:
             raise InternalCheckError("degree denominator vanished mod l")
         d2 = order * pow(s, -1, l) % l
@@ -372,9 +371,9 @@ def character_table(g: GroupTable, classes: ConjClasses,
         if d * d != d2 or not 1 <= d <= sqrt_cap:
             raise InternalCheckError(
                 f"degree lift failed: residue {d2} is not an admissible square")
-        chi = [d * int(w[i]) % l * inv_sizes[i] % l for i in range(k)]
-        rows.append((d, chi))
-    rows.sort(key=lambda dc: (dc[0], dc[1]))
+        lifted.append(d)
+    chis = np.array(lifted)[:, None] * w % l * inv_sizes % l
+    rows = sorted(zip(lifted, chis.tolist()))
 
     degrees = [d for d, _ in rows]
     if sum(d * d for d in degrees) != order:

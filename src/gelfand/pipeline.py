@@ -303,39 +303,55 @@ def _sweep_point(args):
     return kind, n, q, report, None, None, time.perf_counter() - t0
 
 
+def _sweep_row(result, out_dir: str | Path | None) -> SweepRow:
+    """A point's row; its report goes to out_dir as soon as it is made."""
+    kind, n, q, report, error, why, seconds = result
+    if report is None:
+        return SweepRow(kind, n, q, passed=False, error=error,
+                        error_kind=why, seconds=round(seconds, 3))
+    path_str = None
+    if out_dir is not None:
+        path = Path(out_dir) / f"{kind}-n{n}-q{q}.json"
+        report.write(path)
+        path_str = str(path)
+    return SweepRow(kind, n, q, passed=report.passed, k=report.k,
+                    max_dim_inv=report.max_dim_inv, bound=report.bound,
+                    seconds=round(seconds, 3), report_path=path_str)
+
+
 def run_sweep(points: list[tuple[str, int, int]] | None = None,
               out_dir: str | Path | None = None, *,
               cap: int = DEFAULT_GROUP_CAP,
               cache_dir: str | Path | None = None,
               jobs: int = 1) -> SweepSummary:
-    """run_verify over a grid; per-point failures are recorded, not fatal."""
+    """run_verify over a grid; per-point failures are recorded, not fatal.
+
+    With jobs != 1 each point is its own future.  A point whose future
+    raises (say its worker process was killed, which breaks the pool for
+    every point still running or queued) becomes an internal error row;
+    points that finished keep their rows and reports."""
     if points is None:
         points = default_points()
     tasks = [(kind, n, q, cap, cache_dir) for kind, n, q in points]
     if jobs == 1 or len(tasks) <= 1:
-        results = [_sweep_point(t) for t in tasks]
+        rows = [_sweep_row(_sweep_point(t), out_dir) for t in tasks]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        rows = [None] * len(tasks)
         workers = jobs if jobs > 0 else None
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, tasks))
-
-    rows = []
-    for kind, n, q, report, error, why, seconds in results:
-        if report is None:
-            rows.append(SweepRow(kind, n, q, passed=False, error=error,
-                                 error_kind=why, seconds=round(seconds, 3)))
-            continue
-        path_str = None
-        if out_dir is not None:
-            path = Path(out_dir) / f"{kind}-n{n}-q{q}.json"
-            report.write(path)
-            path_str = str(path)
-        rows.append(SweepRow(kind, n, q, passed=report.passed, k=report.k,
-                             max_dim_inv=report.max_dim_inv,
-                             bound=report.bound,
-                             seconds=round(seconds, 3),
-                             report_path=path_str))
+            futures = {pool.submit(_sweep_point, t): i
+                       for i, t in enumerate(tasks)}
+            for fut in as_completed(futures):
+                i = futures[fut]
+                try:
+                    result = fut.result()
+                except Exception as exc:
+                    kind, n, q = tasks[i][:3]
+                    result = (kind, n, q, None,
+                              f"worker process failed: {exc!r}", "internal",
+                              0.0)
+                rows[i] = _sweep_row(result, out_dir)
     summary = SweepSummary(rows)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,15 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from gelfand import chartab
 from gelfand.chartab import (cache_path, character_table, choose_modulus,
                              conjugacy_classes, dim_invariants, element_order,
                              group_exponent, load_character_table,
                              save_character_table, transpose_preserves_classes,
-                             verify_pair, _structure_constants)
+                             verify_pair, _split_eigenspaces,
+                             _structure_constants)
 from gelfand.cosets import double_cosets, involution_action
 from gelfand.errors import InternalCheckError
 from gelfand.field import field_from_q
@@ -139,6 +142,28 @@ def test_gl1_abelian_tables():
         assert t.degrees == [1] * (q - 1)
 
 
+# every GL1(F_q) and O2(F_q) under the default field cap: cyclic groups with
+# k close to l (GL1(F_16): k = 15, l = 31) need more than one separator
+@pytest.mark.parametrize("kind,q", [
+    *[("gl", q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)],
+    *[("o", q) for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25)]])
+def test_gl1_and_o2_tables_up_to_q25(kind, q):
+    g, classes = build(kind, 1 if kind == "gl" else 2, q)
+    t = character_table(g, classes)
+    if kind == "gl":
+        assert t.degrees == [1] * (q - 1)
+    else:  # dihedral: degrees 1 and 2
+        assert set(t.degrees) <= {1, 2}
+    assert sum(d * d for d in t.degrees) == g.order
+    l = t.l
+    for r1 in range(t.count):
+        for r2 in range(t.count):
+            s = sum(classes.sizes[i] * t.values[r1][i]
+                    * t.values[r2][classes.inverse_class[i]]
+                    for i in range(classes.count)) % l
+            assert s == (g.order % l if r1 == r2 else 0)
+
+
 def test_gl2_f3_degree_multiset():
     g, classes = build("gl", 2, 3)
     t = character_table(g, classes)
@@ -225,6 +250,91 @@ def test_root_is_a_primitive_root_of_unity():
 def test_transpose_preserves_conjugacy_classes(kind, n, q):
     g, classes = build(kind, n, q)
     assert transpose_preserves_classes(g, classes)
+
+
+def test_one_walk_over_the_class_rows_per_table(monkeypatch):
+    g, classes = build("gl", 2, 3)
+    walks = []
+    right_rows = g.right_rows
+
+    def counted(ids):
+        walks.append(list(ids))
+        return right_rows(ids)
+
+    monkeypatch.setattr(g, "right_rows", counted)
+    character_table(g, classes)
+    assert walks == [classes.reps]
+
+
+# ---------------------------------------------------------
+# central characters from the separating element
+# ---------------------------------------------------------
+
+@pytest.mark.parametrize("kind,n,q", [("gl", 2, 3), ("gl", 2, 4),
+                                      ("o", 3, 3), ("gl", 1, 25)])
+def test_every_vector_is_a_common_eigenvector(kind, n, q):
+    g, classes = build(kind, n, q)
+    l = character_table(g, classes).l
+    a = _structure_constants(g, classes)
+    e_cls = classes.class_of[g.identity_id]
+    w = _split_eigenspaces(a, l, e_cls)
+    k = classes.count
+    assert w.shape == (k, k)
+    assert np.all(w[e_cls] == 1)
+    assert len({tuple(col) for col in w.T.tolist()}) == k
+    # N_i w = w_i w for every class matrix N_i and every column w
+    images = np.tensordot(a, w, axes=([2], [0])) % l
+    assert np.array_equal(images, w[:, None, :] * w[None, :, :] % l)
+
+
+def test_a_colliding_first_separator_gives_the_same_table(monkeypatch):
+    g, classes = build("gl", 2, 3)
+    t = character_table(g, classes)
+    # s = 1: the sum of all class matrices has eigenvalue 0 seven times
+    bases = chartab._separator_bases
+    monkeypatch.setattr(chartab, "_separator_bases",
+                        lambda k: (1, *bases(k)))
+    again = character_table(g, classes)
+    assert (again.l, again.degrees, again.values) == \
+        (t.l, t.degrees, t.values)
+
+
+def test_no_separating_element_raises(monkeypatch):
+    g, classes = build("gl", 2, 3)
+    monkeypatch.setattr(chartab, "_separator_bases", lambda k: (1,) * 32)
+    with pytest.raises(InternalCheckError,
+                       match="no separating .* k = 8 classes mod l = 97"):
+        character_table(g, classes)
+
+
+def test_a_corrupted_structure_constant_never_gives_a_table(monkeypatch):
+    g, classes = build("gl", 2, 3)
+    class_algebra = chartab._class_algebra
+
+    def corrupted(g, classes):
+        orders, a = class_algebra(g, classes)
+        a[1, 2, 3] += 1
+        return orders, a
+
+    monkeypatch.setattr(chartab, "_class_algebra", corrupted)
+    with pytest.raises(InternalCheckError):
+        character_table(g, classes)
+
+
+def test_every_single_corruption_of_gl2_f2_raises(monkeypatch):
+    # the 27 corruptions reach the root count, the Krylov size, the
+    # identity entry and the degree lift
+    g, classes = build("gl", 2, 2)
+    class_algebra = chartab._class_algebra
+    for idx in np.ndindex((classes.count,) * 3):
+        def corrupted(g, classes, idx=idx):
+            orders, a = class_algebra(g, classes)
+            a[idx] += 1
+            return orders, a
+
+        monkeypatch.setattr(chartab, "_class_algebra", corrupted)
+        with pytest.raises(InternalCheckError):
+            character_table(g, classes)
 
 
 # ---------------------------------------------------------

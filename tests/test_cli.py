@@ -281,6 +281,43 @@ def test_sweep_exits_3_on_an_internal_error(monkeypatch, tmp_path, capsys):
     assert [p["error_kind"] for p in data["points"]] == ["internal"] * 2
 
 
+def test_crashed_worker_loses_only_its_point(monkeypatch, tmp_path, capsys):
+    import os
+    import time
+    from gelfand import pipeline
+
+    verify = pipeline.run_verify
+    others = [("gl", 1, 2), ("o", 1, 3), ("gl", 1, 3)]
+    reports = [tmp_path / f"{kind}-n{n}-q{q}.json" for kind, n, q in others]
+
+    def crash_after_the_others(kind, n, q, **kwargs):
+        if (kind, n, q) != ("gl", 1, 4):
+            return verify(kind, n, q, **kwargs)
+        # the other worker runs every other point; the parent writes each
+        # report as its point returns, so this worker can wait for all of
+        # them before it dies
+        deadline = time.monotonic() + 30
+        while (not all(p.exists() for p in reports)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        if all(p.exists() for p in reports):
+            (tmp_path / "saw-every-report").touch()
+        os._exit(1)
+
+    monkeypatch.setattr(pipeline, "run_verify", crash_after_the_others)
+    assert main(["sweep", "--points", "gl:2:4,gl:2:2,o:2:3,gl:2:3",
+                 "--threads", "2", "--out-dir", str(tmp_path)]) == 3
+    assert (tmp_path / "saw-every-report").exists()
+    assert "internal error: worker process failed" in capsys.readouterr().out
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert [p["error_kind"] for p in data["points"]] == ["internal"] + \
+        [None] * 3
+    assert [p["pass"] for p in data["points"]] == [False, True, True, True]
+    assert [p["report"] for p in data["points"]] == \
+        [None] + [str(p) for p in reports]
+    assert not (tmp_path / "gl-n1-q4.json").exists()
+
+
 def test_sweep_domain_and_cap_errors_exit_1(tmp_path, capsys):
     assert main(["sweep", "--points", "o:2:4,gl:3:5", "--threads", "1",
                  "--cap-group-order", "100", "--out-dir", str(tmp_path)]) == 1
