@@ -113,15 +113,6 @@ def _block_orders(g: GroupTable, rows: np.ndarray) -> list[int]:
     return order.tolist()
 
 
-def element_orders(g: GroupTable, ids) -> list[int]:
-    """Orders of the given elements, read from their right-regular rows."""
-    return [o for rows in g.right_rows(ids) for o in _block_orders(g, rows)]
-
-
-def group_exponent(g: GroupTable, classes: ConjClasses) -> int:
-    return math.lcm(*element_orders(g, classes.reps))
-
-
 # -- the modulus l and roots of unity ------------------------------------------
 
 def choose_modulus(order: int, exponent: int,
@@ -309,11 +300,6 @@ def _class_algebra(g: GroupTable,
         raise InternalCheckError("structure constants fail the "
                                  "inverse-class identity")
     return orders, a
-
-
-def _structure_constants(g: GroupTable, classes: ConjClasses) -> np.ndarray:
-    """The structure constants of ``_class_algebra`` alone."""
-    return _class_algebra(g, classes)[1]
 
 
 def _verify_orthogonality(t: CharacterTable):

@@ -23,25 +23,28 @@ cosets and conjugacy classes are all orbits of this kind.
 
 GL is enumerated by extending linearly independent row prefixes (the span
 of the chosen rows is carried along, so the q^(n^2) ambient space is never
-filtered).  O is the group of the identity bilinear form, built as the
-multiplicative closure of all hyperplane reflections.  Its order is checked
-against the closed form, and the closure is cross-checked against a direct
-filter of {g : g^T g = I} when that filter is feasible.
+filtered).  O is the group of the identity bilinear form, enumerated the
+same way by extending orthonormal row prefixes (each prefix carries the
+mask of unit vectors orthogonal to all its rows).  Every O table is checked
+three ways: g^T g = I for every element, the closed-form order, and the
+few hyperplane reflections kept as generators must generate exactly the
+table.  Both kinds take their generators from one greedy scan over
+candidate ids (``_greedy_generators``): GL's candidates are a few standard
+matrices and then every id, O's are the hyperplane reflections in id order.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import product
+from itertools import chain
 
 import numpy as np
 
 from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import Fq
-from .matrix import MatFq, identity_flat, mul_batch, mul_flat, vec_dot
+from .matrix import MatFq, identity_flat, mul_batch, mul_flat
 
 DEFAULT_GROUP_CAP = 25_000
-O_FILTER_FEASIBLE = 10 ** 7
 # largest block of right-regular rows built at once, in int32 entries
 ROW_CHUNK = 2 ** 17
 
@@ -198,7 +201,8 @@ class GroupTable:
     @property
     def generator_ids(self) -> list[int]:
         if self._generator_ids is None:
-            self._generator_ids = _greedy_generators(self)
+            self._generator_ids = _greedy_generators(
+                self, chain(_gl_seeds(self), range(self.order)))
         return self._generator_ids
 
     @functools.cached_property
@@ -303,8 +307,9 @@ class GroupTable:
                 f"order={self.order})")
 
 
-def _greedy_generators(table: GroupTable) -> list[int]:
-    """Small generating set: seed with standard candidates, then greedy scan."""
+def _gl_seeds(table: GroupTable) -> list[int]:
+    """Ids of a transvection, the cyclic permutation matrix and diag(g, 1,
+    ..., 1) for a primitive g, where they lie in the table."""
     n, f = table.n, table.field
     seeds = []
     if n >= 2:
@@ -321,12 +326,18 @@ def _greedy_generators(table: GroupTable) -> list[int]:
         seeds.append(tuple(diag))
     seeds = np.array(seeds, dtype=np.uint8).reshape(-1, n * n)
     seeds = seeds[np.isin(encode(seeds, f.q), table.codes)]
+    return table.ids_of(seeds).tolist()
 
+
+def _greedy_generators(table: GroupTable, candidates) -> list[int]:
+    """Scan candidate ids in order and keep each one that the kept ones do
+    not yet generate (the identity's orbit under their right permutations),
+    until that orbit is the whole table; raises if it never is."""
     gens: list[int] = []
     perms = []
     known = np.zeros(table.order, dtype=bool)
     known[table.identity_id] = True
-    for cand in table.ids_of(seeds).tolist() + list(range(table.order)):
+    for cand in candidates:
         if known.all():
             break
         if known[cand]:
@@ -373,45 +384,39 @@ def enumerate_gl(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
     return GroupTable("GL", n, field, prefixes)
 
 
-def _reflection_entries(field: Fq, w: tuple, n: int) -> tuple:
-    """Hyperplane reflection x -> x - 2(<w,x>/<w,w>)w for non-isotropic w."""
-    norm = vec_dot(field, w, w)
-    coef = field.div(field.add(1, 1), norm)  # 2 / <w,w>
-    out = []
-    for i in range(n):
-        for j in range(n):
-            x = 1 if i == j else 0
-            out.append(field.sub(x, field.mul(coef, field.mul(w[i], w[j]))))
-    return tuple(out)
+def _inner(a: np.ndarray, b: np.ndarray, field: Fq) -> np.ndarray:
+    """<a, b> = sum_i a_i b_i over the last axis of two broadcastable uint8
+    arrays, folded through the field's add and mul tables."""
+    add, mul = field.arrays()
+    out = mul[a[..., 0], b[..., 0]]
+    for i in range(1, a.shape[-1]):
+        out = add[out, mul[a[..., i], b[..., i]]]
+    return out
 
 
-def _o_direct_filter(n: int, field: Fq) -> set:
-    """All g with g^T g = I, by nested column extension with Gram pruning.
-
-    Equivalent to filtering the full q^(n^2) space: a matrix passes iff its
-    columns are orthonormal, which is checked column by column.
-    """
-    q = field.q
-    vectors = list(product(range(q), repeat=n))
-    unit = [v for v in vectors if vec_dot(field, v, v) == 1]
-    found = set()
-
-    def extend(cols):
-        depth = len(cols)
-        if depth == n:
-            found.add(tuple(cols[j][i] for i in range(n) for j in range(n)))
-            return
-        for v in unit:
-            if all(vec_dot(field, v, c) == 0 for c in cols):
-                extend(cols + [v])
-
-    extend([])
-    return found
+def _reflection_entries(field: Fq, ws: np.ndarray) -> np.ndarray:
+    """Hyperplane reflections x -> x - 2(<w,x>/<w,w>)w of the non-isotropic
+    rows w of ws, as uint8 rows of n^2 entries: I + (-2/<w,w>) w^T w."""
+    add, mul = field.arrays()
+    n = ws.shape[1]
+    minus_two = field.neg(field.add(1, 1))
+    coef = np.array([0] + [field.div(minus_two, a) for a in range(1, field.q)],
+                    dtype=np.uint8)[_inner(ws, ws, field)]
+    scaled = mul[coef[:, None, None], mul[ws[:, :, None], ws[:, None, :]]]
+    return add[np.eye(n, dtype=np.uint8), scaled].reshape(-1, n * n)
 
 
-def enumerate_o(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP,
-                cross_check: bool | None = None) -> GroupTable:
-    """O_n(F_q) for the identity form, q odd: closure of all reflections."""
+def enumerate_o(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
+    """O_n(F_q) for the identity form, q odd, by extending orthonormal row
+    prefixes, all prefixes of one length at a time: the next row is any
+    unit vector orthogonal to every row so far.  Each prefix carries the
+    mask of units still allowed, narrowed at each depth by one gather from
+    the units' orthogonality table.
+
+    Three routes check the table: every element passes g^T g = I; the
+    closed-form order; and reflections kept in id order by
+    ``_greedy_generators`` generate exactly the table (Cartan-Dieudonne),
+    every product being looked up by ``ids_of``."""
     if field.p == 2:
         raise DomainError(
             "orthogonal pipeline requires odd q (reflections divide by 2)")
@@ -420,43 +425,30 @@ def enumerate_o(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP,
     expected = o_order(n, field)
     if expected > cap:
         raise CapExceededError(f"|O_{n}(F_{q})| = {expected} exceeds cap {cap}")
-    refl = {}
-    for w in product(range(q), repeat=n):
-        if vec_dot(field, w, w) != 0:
-            refl.setdefault(_reflection_entries(field, w, n), None)
-    gens = np.array(list(refl), dtype=np.uint8)
-    ident = np.array([identity_flat(n)], dtype=np.uint8)
-    known = np.unique(encode(np.vstack([ident, gens]), q))
-    frontier = decode(known, n * n, q)
-    while len(frontier):
-        fresh = np.empty(0, dtype=np.int64)
-        for g in gens:
-            codes = encode(mul_batch(frontier, g, n, field), q)
-            fresh = np.union1d(fresh, codes[~np.isin(codes, known)])
-            if len(known) + len(fresh) > cap:
-                raise CapExceededError(f"group order exceeds cap {cap}")
-        known = np.union1d(known, fresh)
-        frontier = decode(fresh, n * n, q)
-    mat = decode(known, n * n, q)
-
-    gram = mul_batch(mat.reshape(-1, n, n).transpose(0, 2, 1), mat, n, field)
-    if np.any(gram != ident):
-        raise InternalCheckError("reflection closure left the orthogonal group")
-    if len(known) != expected:
+    vectors = decode(np.arange(q ** n), n, q)
+    norms = _inner(vectors, vectors, field)
+    units = vectors[norms == 1]
+    orthogonal = _inner(units[:, None], units[None], field) == 0
+    prefixes = np.zeros((1, 0), dtype=np.uint8)
+    allowed = np.ones((1, len(units)), dtype=bool)
+    for depth in range(n):
+        prefix, u = np.nonzero(allowed)
+        prefixes = np.hstack([prefixes[prefix], units[u]])
+        if depth + 1 < n:
+            allowed = allowed[prefix] & orthogonal[u]
+    if len(prefixes) != expected:
         raise InternalCheckError(
-            f"reflection closure has {len(known)} elements, but "
+            f"orthonormal row extension has {len(prefixes)} elements, but "
             f"|O_{n}(F_{q})| = {expected}")
+    gram = mul_batch(prefixes.reshape(-1, n, n).transpose(0, 2, 1), prefixes,
+                     n, field)
+    if np.any(gram != np.array(identity_flat(n), dtype=np.uint8)):
+        raise InternalCheckError("row extension left the orthogonal group")
 
-    if cross_check is None:
-        cross_check = q ** (n * n) <= O_FILTER_FEASIBLE
-    if cross_check:
-        filtered = np.array(sorted(_o_direct_filter(n, field)), dtype=np.uint8)
-        if not np.array_equal(filtered.reshape(-1, n * n), mat):
-            raise InternalCheckError(
-                "reflection closure disagrees with the direct g^T g = I filter")
-
-    table = GroupTable("O", n, field, mat)
-    table._generator_ids = sorted(table.ids_of(gens).tolist())
+    table = GroupTable("O", n, field, prefixes)
+    reflections = table.ids_of(_reflection_entries(field, vectors[norms != 0]))
+    table._generator_ids = _greedy_generators(
+        table, np.unique(reflections).tolist())
     return table
 
 

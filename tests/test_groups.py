@@ -104,11 +104,47 @@ def test_o_rejects_characteristic_two(f2, f4):
         enumerate_o(2, f4)
 
 
-def test_o_reflection_closure_equals_filter(f5):
-    # Cartan-Dieudonne at desk scale, verified not assumed: the group is
-    # already cross-checked at construction; assert the filter here too
-    table = enumerate_o(2, f5, cross_check=True)
-    assert [m.entries for m in table.elements] == brute_force_o(f5, 2)
+@pytest.mark.parametrize("q", [5, 9])  # GF(9): the add/mul table path
+def test_o_row_built_table_equals_filter(q):
+    field = field_from_q(q)
+    table = enumerate_o(2, field)
+    assert [m.entries for m in table.elements] == brute_force_o(field, 2)
+
+
+@pytest.mark.parametrize("n,q,count", [(3, 3, 4), (3, 5, 5), (3, 7, 5),
+                                       (4, 3, 6)])
+def test_o_generators_are_few_reflections(n, q, count):
+    field = field_from_q(q)
+    table = enumerate_o(n, field)
+    assert len(table.generator_ids) == count
+    ident = MatFq.identity(field, n)
+    for i in table.generator_ids:
+        m = table.element(i)
+        assert m * m == ident and m != ident
+        g_minus_i = MatFq(field, n, n, [field.sub(a, b) for a, b
+                                        in zip(m.entries, ident.entries)])
+        assert g_minus_i.rank() == 1
+
+
+def test_o_reflection_outside_the_table_is_caught(f3, monkeypatch):
+    reflections = groups._reflection_entries
+
+    def with_a_stranger(field, ws):
+        out = reflections(field, ws)
+        out[-1] = 0  # the zero matrix is in no O_n
+        return out
+
+    monkeypatch.setattr(groups, "_reflection_entries", with_a_stranger)
+    with pytest.raises(InternalCheckError, match="not in O_3"):
+        enumerate_o(3, f3)
+
+
+def test_o_reflections_that_do_not_generate_are_caught(f3, monkeypatch):
+    reflections = groups._reflection_entries
+    monkeypatch.setattr(groups, "_reflection_entries",
+                        lambda field, ws: reflections(field, ws)[:1])
+    with pytest.raises(InternalCheckError, match="did not close"):
+        enumerate_o(3, f3)
 
 
 def test_o3_f5_closure(f5):
@@ -127,9 +163,10 @@ def test_o_cap(f3):
 
 
 @pytest.mark.parametrize("n,q,order", [(2, 3, 8), (2, 5, 8), (3, 3, 48),
-                                       (3, 5, 240), (4, 3, 1152)])
+                                       (3, 5, 240), (4, 3, 1152),
+                                       (3, 9, 1440)])
 def test_o_order_closed_form_and_closure_agree(n, q, order):
-    # O4(F3) is past the direct filter, so the closed form is its second route
+    # the closed form shares nothing with the row extension
     field = field_from_q(q)
     assert o_order(n, field) == order
     assert enumerate_o(n, field).order == order

@@ -7,8 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from gelfand.chartab import (_structure_constants, conjugacy_classes,
-                             element_order, element_orders, group_exponent)
+from gelfand.chartab import _class_algebra, conjugacy_classes, element_order
 from gelfand.errors import InternalCheckError
 from gelfand.field import field_from_q
 from gelfand.groups import enumerate_gl, enumerate_o, orbits
@@ -107,10 +106,11 @@ def test_conjugation_perms_equal_direct_products(group):
 
 def test_exponent_is_the_lcm_of_brute_force_orders(group):
     g = group
-    reps = conjugacy_classes(g).reps
-    brute = [element_order(g, r) for r in reps]
-    assert element_orders(g, reps) == brute
-    assert group_exponent(g, conjugacy_classes(g)) == math.lcm(*brute)
+    classes = conjugacy_classes(g)
+    brute = [element_order(g, r) for r in classes.reps]
+    orders, _ = _class_algebra(g, classes)
+    assert orders == brute
+    assert math.lcm(*orders) == math.lcm(*brute)
 
 
 def test_corrupted_tree_fails_the_structure_constant_cross_check(
@@ -124,4 +124,4 @@ def test_corrupted_tree_fails_the_structure_constant_cross_check(
     monkeypatch.setattr(g, "schreier_tree", tree)
     with pytest.raises(InternalCheckError,
                        match="class rep .* differs from its batched product"):
-        _structure_constants(g, classes)
+        _class_algebra(g, classes)
