@@ -19,7 +19,7 @@ lifting into a stated interval.
 The table itself comes from the class algebra.  With class sums z_i and
 structure constants a_ijm (z_i z_j = sum_m a_ijm z_m;
 counted with ``np.bincount`` from the rows of the class representatives;
-one row is recomputed by a batched product as a cross-check), the vector
+one row is recomputed by ``GroupTable.perm`` as a cross-check), the vector
 w = (omega(z_1), ..., omega(z_k)) of a central character satisfies
 N_i w = w_i w for the matrix N_i[j][m] = a_ijm, so the k vectors w are
 eigenvectors of N = sum_i s^i N_i.  The identity-class unit vector u has a
@@ -60,7 +60,7 @@ CACHE_SCHEMA = "gelfand-chartab/1"
 
 @dataclass
 class ConjClasses:
-    class_of: list[int]
+    class_of: np.ndarray  # class id of every element id
     reps: list[int]
     sizes: list[int]
     inverse_class: list[int]
@@ -79,7 +79,7 @@ def conjugacy_classes(g: GroupTable) -> ConjClasses:
         raise InternalCheckError("conjugacy classes do not partition the group")
     if sizes[class_of[g.identity_id]] != 1:
         raise InternalCheckError("identity class is not a singleton")
-    return ConjClasses(class_of.tolist(), reps.tolist(), sizes.tolist(),
+    return ConjClasses(class_of, reps.tolist(), sizes.tolist(),
                        class_of[inv[reps]].tolist())
 
 
@@ -264,7 +264,7 @@ class CharacterTable:
         return len(self.degrees)
 
     def identity_class(self) -> int:
-        return self.classes.class_of[self.group.identity_id]
+        return int(self.classes.class_of[self.group.identity_id])
 
 
 def _class_algebra(g: GroupTable,
@@ -274,9 +274,9 @@ def _class_algebra(g: GroupTable,
 
     The pairs are (u^-1, u t_m) for u in G, so each class rep t_m needs the
     class of every u t_m: its right-regular row.  The first block's last row
-    is also made by one batched product, checked before any order is read."""
+    is also made by ``GroupTable.perm``, checked before any order is read."""
     k = classes.count
-    class_of = np.array(classes.class_of)
+    class_of = classes.class_of
     inv_cell = class_of[g.inverse_ids] * k
     a = np.zeros((k, k, k), dtype=np.int64)
     orders = []
@@ -401,7 +401,8 @@ def save_character_table(t: CharacterTable, cache_dir: str | Path) -> Path:
     # never sees a partial table; the pid keeps concurrent sweep workers apart
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        # no indent: json.dumps then uses its C encoder
+        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -409,8 +410,18 @@ def save_character_table(t: CharacterTable, cache_dir: str | Path) -> Path:
     return path
 
 
+def _residues(x, length: int, l: int) -> bool:
+    """x is a list of ``length`` ints in [0, l)."""
+    return (isinstance(x, list) and len(x) == length
+            and all(isinstance(v, int) and 0 <= v < l for v in x))
+
+
 def load_character_table(g: GroupTable, classes: ConjClasses,
                          cache_dir: str | Path) -> CharacterTable | None:
+    """The cached table, or None (recompute) when the file is missing, does
+    not parse, has another schema or class data, or lacks a key or has one
+    of the wrong shape.  A well-formed table that fails orthogonality
+    raises."""
     path = cache_path(cache_dir, g.kind, g.n, g.field.q)
     if not path.is_file():
         return None
@@ -418,15 +429,21 @@ def load_character_table(g: GroupTable, classes: ConjClasses,
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    if payload.get("schema") != CACHE_SCHEMA:
+    if not isinstance(payload, dict) or payload.get("schema") != CACHE_SCHEMA:
         return None
     reps = [format_matrix(g.element(r)) for r in classes.reps]
     if (payload.get("class_reps") != reps
             or payload.get("class_sizes") != classes.sizes):
         return None  # stale cache for a different enumeration
-    table = CharacterTable(g, classes, payload["l"], payload["root"],
-                           payload["degrees"],
-                           [list(row) for row in payload["values"]])
+    k = classes.count
+    l, root = payload.get("l"), payload.get("root")
+    degrees, values = payload.get("degrees"), payload.get("values")
+    if not (isinstance(l, int) and l > 2 * g.order
+            and _residues([root], 1, l) and _residues(degrees, k, l)
+            and isinstance(values, list) and len(values) == k
+            and all(_residues(row, k, l) for row in values)):
+        return None
+    table = CharacterTable(g, classes, l, root, degrees, values)
     _verify_orthogonality(table)
     return table
 
@@ -457,9 +474,8 @@ def dim_invariants(t: CharacterTable, emb: Embedding) -> InvariantReport:
         raise DomainError("embedding does not target the table's group")
     l = t.l
     classes = t.classes
-    cnt = [0] * classes.count
-    for img in emb.map:
-        cnt[classes.class_of[img]] += 1
+    cnt = np.bincount(classes.class_of[emb.map],
+                      minlength=classes.count).tolist()
     h_order = len(emb.map)
     inv_h = pow(h_order, -1, l)
     rows = []
@@ -515,5 +531,5 @@ def verify_pair(table: CharacterTable, invariants: InvariantReport,
 
 
 def transpose_preserves_classes(g: GroupTable, classes: ConjClasses) -> bool:
-    cls = np.array(classes.class_of)
+    cls = classes.class_of
     return np.array_equal(cls[g.transpose_ids], cls)

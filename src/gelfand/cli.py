@@ -5,7 +5,8 @@ chartab, verify, sweep.  Pair commands (cosets, verify, sweep points) take
 the SMALL group size n: the pair verified is (KIND_{n+1}(F_q), KIND_n(F_q)).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 internal consistency error; a sweep exits 3 when any point hit one.
+3 internal consistency error or any other crash; a sweep exits 3 when any
+point hit one.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .chartab import character_table, conjugacy_classes
 from .cosets import double_cosets, involution_action
@@ -333,6 +335,11 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # any other crash is an internal error, as a sweep row counts it
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -33,12 +33,12 @@ class DoubleCosetDecomposition:
     group: GroupTable
     embedding: Embedding
     mod_center: bool
-    coset_of: list[int]
+    coset_of: np.ndarray  # coset id of every element id
     reps: list[int]
     count: int
 
     def members(self, c: int) -> list[int]:
-        return [i for i, x in enumerate(self.coset_of) if x == c]
+        return np.flatnonzero(self.coset_of == c).tolist()
 
 
 @dataclass
@@ -67,7 +67,7 @@ def double_cosets(g: GroupTable, emb: Embedding,
     if mod_center:
         perms += [g.id_perm(z) for z in g.center_ids() if z != g.identity_id]
     reps, coset_of = np.unique(orbits(perms, g.order), return_inverse=True)
-    return DoubleCosetDecomposition(g, emb, mod_center, coset_of.tolist(),
+    return DoubleCosetDecomposition(g, emb, mod_center, coset_of,
                                     reps.tolist(), len(reps))
 
 
@@ -75,7 +75,7 @@ def involution_action(d: DoubleCosetDecomposition) -> InvolutionAction:
     """Permutation induced on cosets by transpose, checked element by element."""
     g = d.group
     tr = g.transpose_ids
-    coset_of = np.array(d.coset_of)
+    coset_of = d.coset_of
     perm = coset_of[tr[d.reps]]
     bad = np.flatnonzero(coset_of[tr] != perm[coset_of])
     if bad.size:

@@ -2,15 +2,26 @@
 
 A GroupTable stores its elements as one (order, n^2) uint8 array ``mat``,
 rows in the lexicographic order of their entries, next to int64 base-q
-``codes`` that increase with that order.  ``ids_of`` maps a batch of
-matrices to element ids by binary search on the codes and raises if any row
-is not in the group, so every batched lookup is also a membership check.
-The fixed order makes coset representatives, class representatives and
-reports reproducible bit for bit.  MatFq objects are built only on demand.
+``codes`` that increase with that order and the (n, order) base-q codes of
+each element's rows, ``row_codes``.  ``ids_of_codes`` maps matrix codes to
+element ids by binary search and raises, naming the matrix, if any is not
+in the group, so every batched lookup is also a membership check; ``ids_of``
+encodes a uint8 batch first.  The fixed order makes coset representatives,
+class representatives and reports reproducible bit for bit.  MatFq objects
+are built only on demand.
 
-A product of the whole group by one fixed matrix (``matrix.mul_batch``,
-on the left or on the right) turned into an int32 id permutation by
-``ids_of`` is computed once per element and side (``id_perm``, memoised).
+The group is multiplied by one fixed matrix m without a matrix product: row
+i of x m is row_i(x) m, so ``perm`` builds the table v -> code(v m) over the
+q^n row vectors v (through the field's add and mul tables, for prime and
+extension fields alike) and reads each product's code as the sum over i of
+that table at row_i(x), weighted by q^(n(n-1-i)): n gathers, then one
+lookup.  A left product is a right one between transposes, m x = (x^T
+m^T)^T.  Each id permutation is computed once per element and side
+(``id_perm``, memoised).  ``matrix.mul_batch`` is left for the pairwise
+products of two checks, x x^-1 = 1 and, for O, g^T g = 1; the first still
+checks the generator permutations, through the Schreier tree, against true
+matrix products on every run.
+
 The left and right permutations of the generators, lambda_g: x -> g x and
 rho_g: x -> x g, carry the rest as gathers: the center is where they agree,
 conjugation by g is lambda_g after rho_g^-1, and one BFS tree from the
@@ -140,6 +151,14 @@ class GroupTable:
         self.order = len(self.codes)
         if np.any(self.codes[1:] == self.codes[:-1]):
             raise InternalCheckError("duplicate elements in group table")
+        # row_codes[i, x]: base-q code of row i of element x, in the
+        # smallest unsigned type that holds q^n - 1 (``take`` gathers by
+        # any of them at the same speed)
+        rows = self.mat.reshape(-1, n, n)
+        self.row_codes = np.empty((n, self.order),
+                                  np.min_scalar_type(field.q ** n - 1))
+        for i in range(n):
+            self.row_codes[i] = encode(rows[:, i], field.q)
         self.identity_id = self.id_of_entries(identity_flat(n))
         self._generator_ids = generator_ids
         self._inverse_ids = None
@@ -152,13 +171,18 @@ class GroupTable:
     def ids_of(self, batch: np.ndarray) -> np.ndarray:
         """Element id (int32) of every row of a uint8 batch; raises if any
         row is not in the group."""
-        codes = encode(batch, self.field.q)
+        return self.ids_of_codes(encode(batch, self.field.q))
+
+    def ids_of_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Element id (int32) of every int64 matrix code; raises, naming
+        the decoded matrix, if any code is not in the group."""
+        n, q = self.n, self.field.q
         ids = np.minimum(np.searchsorted(self.codes, codes), self.order - 1)
         missing = np.flatnonzero(self.codes[ids] != codes)
         if missing.size:
-            row = tuple(np.asarray(batch)[missing[0]].tolist())
+            row = tuple(decode(codes[missing[:1]], n * n, q)[0].tolist())
             raise InternalCheckError(
-                f"matrix {row} not in {self.kind}_{self.n}(F_{self.field.q})")
+                f"matrix {row} not in {self.kind}_{n}(F_{q})")
         return ids.astype(np.int32)
 
     def id_of_entries(self, entries: tuple) -> int:
@@ -183,17 +207,38 @@ class GroupTable:
             self.element(i).entries, self.element(j).entries, self.n,
             self.field))
 
-    def perm(self, m: np.ndarray, left: bool = False) -> np.ndarray:
-        """Id permutation x -> m x (left) or x -> x m of a group element m."""
-        n, f = self.n, self.field
-        return self.ids_of(mul_batch(m, self.mat, n, f) if left
-                           else mul_batch(self.mat, m, n, f))
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """The q^n row vectors as uint8 rows, in the order of their codes;
+        built on the first product."""
+        return decode(np.arange(self.field.q ** self.n), self.n, self.field.q)
+
+    def perm(self, m: np.ndarray) -> np.ndarray:
+        """Id permutation x -> x m of a group element m (raises if m is not
+        one).  Row i of x m is row_i(x) m, so one table of v m over the row
+        vectors v, weighted by the place of row i in the code, gives every
+        product's code in n gathers."""
+        n, q = self.n, self.field.q
+        m = np.asarray(m, dtype=np.uint8).reshape(n, n)
+        image = encode(_inner(self.vectors[:, None], m.T, self.field), q)
+        shifted = image * q ** (n * np.arange(n - 1, -1, -1))[:, None]
+        codes = shifted[0].take(self.row_codes[0])
+        for weights, rows in zip(shifted[1:], self.row_codes[1:]):
+            codes += weights.take(rows)
+        return self.ids_of_codes(codes)
 
     def id_perm(self, i: int, left: bool = False) -> np.ndarray:
-        """``perm`` of element id i, computed once per id and side."""
+        """Id permutation x -> x g, or x -> g x (left), of the element g of
+        id i, computed once per id and side.  A left product is a right one
+        between transposes, g x = (x^T g^T)^T, so lambda_g is rho_(g^T)
+        between two gathers by the transpose permutation."""
         key = (int(i), left)
         if key not in self._id_perms:
-            self._id_perms[key] = self.perm(self.mat[i], left)
+            if left:
+                t = self.transpose_ids
+                self._id_perms[key] = t[self.id_perm(t[i])[t]]
+            else:
+                self._id_perms[key] = self.perm(self.mat[i])
         return self._id_perms[key]
 
     # -- distinguished data (computed lazily, cached) ---------------------------
@@ -324,9 +369,8 @@ def _gl_seeds(table: GroupTable) -> list[int]:
         diag = list(identity_flat(n))
         diag[0] = g
         seeds.append(tuple(diag))
-    seeds = np.array(seeds, dtype=np.uint8).reshape(-1, n * n)
-    seeds = seeds[np.isin(encode(seeds, f.q), table.codes)]
-    return table.ids_of(seeds).tolist()
+    codes = encode(np.array(seeds, dtype=np.uint8).reshape(-1, n * n), f.q)
+    return table.ids_of_codes(codes[np.isin(codes, table.codes)]).tolist()
 
 
 def _greedy_generators(table: GroupTable, candidates) -> list[int]:

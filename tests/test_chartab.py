@@ -490,6 +490,38 @@ def test_corrupt_cache_values_fail_orthogonality(tmp_path):
         load_character_table(g, classes, tmp_path)
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda p: p.pop("l"),
+    lambda p: p.pop("values"),
+    lambda p: p.update(root="3"),
+    lambda p: p.update(degrees=p["degrees"][1:]),
+    lambda p: p["values"][2].pop(),
+    lambda p: p["values"][0].__setitem__(0, p["l"]),
+    lambda p: p.update(l=5),
+], ids=["no-l", "no-values", "root-not-int", "short-degrees", "short-row",
+        "value-not-below-l", "l-too-small"])
+def test_a_cache_with_missing_keys_or_wrong_shapes_is_a_miss(tmp_path,
+                                                             corrupt):
+    import json
+    g, classes = build("gl", 2, 2)
+    t = character_table(g, classes, cache_dir=tmp_path)
+    path = cache_path(tmp_path, g.kind, g.n, g.field.q)
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    assert load_character_table(g, classes, tmp_path) is None
+    again = character_table(g, classes, cache_dir=tmp_path)
+    assert again.values == t.values
+    assert load_character_table(g, classes, tmp_path).values == t.values
+
+
+def test_the_cache_is_written_without_indent(tmp_path):
+    g, classes = build("gl", 2, 2)
+    path = save_character_table(character_table(g, classes), tmp_path)
+    text = path.read_text()
+    assert text.count("\n") == 1 and '"schema": "gelfand-chartab/1"' in text
+
+
 def test_truncated_cache_is_replaced_atomically(tmp_path, monkeypatch):
     g, classes = build("gl", 2, 2)
     path = cache_path(tmp_path, g.kind, g.n, g.field.q)

@@ -318,6 +318,35 @@ def test_crashed_worker_loses_only_its_point(monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "gl-n1-q4.json").exists()
 
 
+def test_a_cache_file_missing_a_key_is_recomputed_by_verify_and_sweep(
+        tmp_path, capsys):
+    assert main(["verify", "--kind", "gl", "--n", "1", "--q", "3",
+                 "--cache-dir", str(tmp_path)]) == 0
+    path = tmp_path / "chartab-gl2-q3-v1.json"
+    payload = json.loads(path.read_text())
+    for argv in (["verify", "--kind", "gl", "--n", "1", "--q", "3"],
+                 ["sweep", "--points", "gl:2:3", "--threads", "1"]):
+        path.write_text(json.dumps({k: v for k, v in payload.items()
+                                    if k != "l"}))
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+        assert json.loads(path.read_text()) == payload
+    capsys.readouterr()
+
+
+def test_verify_and_sweep_exit_3_on_any_crash(monkeypatch, capsys):
+    from gelfand import cli, pipeline
+
+    def crash(*args, **kwargs):
+        raise KeyError("l")
+
+    monkeypatch.setattr(cli, "run_verify", crash)
+    monkeypatch.setattr(pipeline, "run_verify", crash)
+    assert main(["verify", "--kind", "gl", "--n", "1", "--q", "2"]) == 3
+    assert "internal error: KeyError: 'l'" in capsys.readouterr().err
+    assert main(["sweep", "--points", "gl:2:2", "--threads", "1"]) == 3
+    assert "internal error: 'l'" in capsys.readouterr().out
+
+
 def test_sweep_domain_and_cap_errors_exit_1(tmp_path, capsys):
     assert main(["sweep", "--points", "o:2:4,gl:3:5", "--threads", "1",
                  "--cap-group-order", "100", "--out-dir", str(tmp_path)]) == 1

@@ -1,16 +1,19 @@
-"""The batched group kernel: mul_batch, ids_of, orbits, and the generator
-permutations with the Schreier tree that gathers build on."""
+"""The batched group kernel: mul_batch, ids_of, the row-code products by a
+fixed matrix, orbits, and the generator permutations with the Schreier tree
+that gathers build on."""
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
+from gelfand import groups
 from gelfand.chartab import _class_algebra, conjugacy_classes, element_order
-from gelfand.errors import InternalCheckError
+from gelfand.errors import CapExceededError, InternalCheckError
 from gelfand.field import field_from_q
-from gelfand.groups import enumerate_gl, enumerate_o, orbits
+from gelfand.groups import GroupTable, enumerate_gl, enumerate_o, orbits
 from gelfand.matrix import inverse_flat, mul_batch, mul_flat
 
 
@@ -125,3 +128,50 @@ def test_corrupted_tree_fails_the_structure_constant_cross_check(
     with pytest.raises(InternalCheckError,
                        match="class rep .* differs from its batched product"):
         _class_algebra(g, classes)
+
+
+# -- products by a fixed matrix: row-code gathers ----------------------------------
+
+# every product path the pipeline meets: prime and extension fields, GL and O
+PRODUCT_GROUPS = KERNEL_GROUPS | {"GL2(F8)": (enumerate_gl, 2, 8),
+                                  "O4(F3)": (enumerate_o, 4, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_GROUPS))
+def test_left_and_right_perms_equal_batched_products(name):
+    enum, n, q = PRODUCT_GROUPS[name]
+    g = enum(n, field_from_q(q))
+    f = g.field
+    ids = range(0, g.order, max(1, g.order // 40))
+    assert len(ids) >= 40
+    for i in ids:
+        assert np.array_equal(g.id_perm(i),
+                              g.ids_of(mul_batch(g.mat, g.mat[i], n, f)))
+        assert np.array_equal(g.id_perm(i, left=True),
+                              g.ids_of(mul_batch(g.mat[i], g.mat, n, f)))
+
+
+@pytest.mark.parametrize("enum,n,q,m", [
+    (enumerate_gl, 2, 3, (1, 1, 1, 1)),  # singular
+    (enumerate_o, 3, 3, (1, 1, 0, 0, 1, 0, 0, 0, 1)),  # not orthogonal
+])
+def test_a_product_by_a_non_member_names_the_missing_matrix(enum, n, q, m):
+    g = enum(n, field_from_q(q))
+    # x m is outside the group for every x, so id 0's product is named
+    first = mul_flat(tuple(g.mat[0].tolist()), m, n, g.field)
+    with pytest.raises(InternalCheckError,
+                       match=re.escape(f"matrix {first} not in")):
+        g.perm(np.array(m, dtype=np.uint8))
+
+
+def test_the_vector_table_waits_for_the_first_product(monkeypatch):
+    built = []
+    decode = groups.decode
+    monkeypatch.setattr(groups, "decode",
+                        lambda *args: built.append(args[1:]) or decode(*args))
+    with pytest.raises(CapExceededError, match="int64"):
+        GroupTable("GL", 4, field_from_q(25), np.zeros((0, 16), np.uint8))
+    g = GroupTable("GL", 1, field_from_q(3), [[1], [2]])
+    assert built == [] and "vectors" not in g.__dict__
+    assert g.id_perm(1).tolist() == [1, 0]
+    assert built == [(1, 3)] and g.vectors.tolist() == [[0], [1], [2]]
