@@ -115,15 +115,14 @@ def _block_orders(g: GroupTable, rows: np.ndarray) -> list[int]:
 
 # -- the modulus l and roots of unity ------------------------------------------
 
-def choose_modulus(order: int, exponent: int,
-                   bound: int = PRIME_SEARCH_BOUND) -> int:
+def choose_modulus(order: int, exponent: int) -> int:
     """Smallest prime l = 1 (mod exponent) with l > 2|G|."""
     t = (2 * order - 1) // exponent + 1
     while True:
         l = exponent * t + 1
-        if l > bound:
-            raise DomainError(
-                f"no usable prime below {bound} for exponent {exponent}")
+        if l > PRIME_SEARCH_BOUND:
+            raise DomainError(f"no usable prime below {PRIME_SEARCH_BOUND} "
+                              f"for exponent {exponent}")
         if l > 2 * order and is_prime(l):
             return l
         t += 1
@@ -324,8 +323,7 @@ def _verify_orthogonality(t: CharacterTable):
 
 
 def character_table(g: GroupTable, classes: ConjClasses,
-                    cache_dir: str | Path | None = None,
-                    prime_bound: int = PRIME_SEARCH_BOUND) -> CharacterTable:
+                    cache_dir: str | Path | None = None) -> CharacterTable:
     """Irreducible character values as residues mod l, degrees as integers.
 
     Rows are sorted by (degree, value row) so the table is deterministic.
@@ -340,7 +338,7 @@ def character_table(g: GroupTable, classes: ConjClasses,
     order = g.order
     orders, a = _class_algebra(g, classes)
     exponent = math.lcm(*orders)
-    l = choose_modulus(order, exponent, prime_bound)
+    l = choose_modulus(order, exponent)
     root = pow(_smallest_primitive_root(l), (l - 1) // exponent, l)
 
     # one normalised central character w per row

@@ -204,7 +204,11 @@ def _parse_points(spec: str) -> list[tuple[str, int, int]]:
         bits = part.strip().split(":")
         if len(bits) != 3 or bits[0] not in ("gl", "o"):
             raise DomainError(f"bad sweep point {part!r}; want kind:N:q")
-        big, q = int(bits[1]), int(bits[2])
+        try:
+            big, q = int(bits[1]), int(bits[2])
+        except ValueError:
+            raise DomainError(f"bad sweep point {part!r}; N and q must be "
+                              "integers") from None
         if big < 2:
             raise DomainError(f"bad sweep point {part!r}; N must be >= 2")
         points.append((bits[0], big - 1, q))

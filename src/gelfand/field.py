@@ -81,14 +81,14 @@ class Fq:
     __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_neg", "_inv",
                  "_generator", "_arrays")
 
-    def __init__(self, p: int, e: int, max_q: int = DEFAULT_MAX_Q):
-        if not is_prime(p):
-            raise DomainError(f"p = {p} is not prime")
+    def __init__(self, p: int, e: int):
         if e < 1:
             raise DomainError(f"extension degree must be >= 1, got {e}")
         q = p ** e
-        if q > max_q:
-            raise CapExceededError(f"q = {q} exceeds size cap {max_q}")
+        if q > DEFAULT_MAX_Q:  # before trial division, which a large p stalls
+            raise CapExceededError(f"q = {q} exceeds size cap {DEFAULT_MAX_Q}")
+        if not is_prime(p):
+            raise DomainError(f"p = {p} is not prime")
         self.p = p
         self.e = e
         self.q = q
@@ -229,15 +229,17 @@ class Fq:
 
 
 @functools.lru_cache(maxsize=None)
-def build_field(p: int, e: int, max_q: int = DEFAULT_MAX_Q) -> Fq:
+def build_field(p: int, e: int) -> Fq:
     """Construct (and cache) GF(p^e)."""
-    return Fq(p, e, max_q=max_q)
+    return Fq(p, e)
 
 
-def field_from_q(q: int, max_q: int = DEFAULT_MAX_Q) -> Fq:
+def field_from_q(q: int) -> Fq:
     """Factor q = p^e and build the field; q must be a prime power."""
     if q < 2:
         raise DomainError(f"q = {q} is not a prime power")
+    if q > DEFAULT_MAX_Q:  # before trial division, which a large q stalls
+        raise CapExceededError(f"q = {q} exceeds size cap {DEFAULT_MAX_Q}")
     p = 2
     while q % p:
         p += 1
@@ -248,4 +250,4 @@ def field_from_q(q: int, max_q: int = DEFAULT_MAX_Q) -> Fq:
         e += 1
     if rest != 1:
         raise DomainError(f"q = {q} is not a prime power")
-    return build_field(p, e, max_q=max_q)
+    return build_field(p, e)

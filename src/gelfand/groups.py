@@ -24,13 +24,15 @@ matrix products on every run.
 
 The left and right permutations of the generators, lambda_g: x -> g x and
 rho_g: x -> x g, carry the rest as gathers: the center is where they agree,
-conjugation by g is lambda_g after rho_g^-1, and one BFS tree from the
-identity under left multiplication (a Schreier tree, Holt, Eick and
-O'Brien, *Handbook of Computational Group Theory*, ch. 4) spreads both the
-inverse table and the right-regular rows x -> x t of any elements t with
-no further product.  ``orbits`` labels the orbits of a set of id
-permutations by their minimal element id; generated subgroups, double
-cosets and conjugacy classes are all orbits of this kind.
+and conjugation by g is lambda_g after rho_g^-1.  One closure (``_close``)
+finds the generators and the Schreier tree together (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, ch. 4): it scans
+candidate ids in order, keeps each one not yet reached, and grows one BFS
+tree from the identity under left multiplication by the kept ones.  Along
+that tree ``_spread`` carries the inverse table and the right-regular rows
+x -> x t of any elements t with no further product.  ``orbits`` labels the
+orbits of a set of id permutations by their minimal element id; double
+cosets and conjugacy classes are orbits of this kind.
 
 GL is enumerated by extending linearly independent row prefixes (the span
 of the chosen rows is carried along, so the q^(n^2) ambient space is never
@@ -38,16 +40,14 @@ filtered).  O is the group of the identity bilinear form, enumerated the
 same way by extending orthonormal row prefixes (each prefix carries the
 mask of unit vectors orthogonal to all its rows).  Every O table is checked
 three ways: g^T g = I for every element, the closed-form order, and the
-few hyperplane reflections kept as generators must generate exactly the
-table.  Both kinds take their generators from one greedy scan over
-candidate ids (``_greedy_generators``): GL's candidates are a few standard
-matrices and then every id, O's are the hyperplane reflections in id order.
+closure over the hyperplane reflections in id order must reach every
+element.  GL's candidates are a transvection, the n-cycle and diag(g, 1,
+..., 1) for a primitive g, which generate GL_n(F_q).
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import chain
 
 import numpy as np
 
@@ -137,8 +137,7 @@ def invert_perm(p: np.ndarray) -> np.ndarray:
 class GroupTable:
     """Indexed element table of an enumerated matrix group."""
 
-    def __init__(self, kind: str, n: int, field: Fq, mat,
-                 generator_ids=None):
+    def __init__(self, kind: str, n: int, field: Fq, mat):
         check_code_range(n, field.q)
         self.kind = kind
         self.n = n
@@ -160,7 +159,9 @@ class GroupTable:
         for i in range(n):
             self.row_codes[i] = encode(rows[:, i], field.q)
         self.identity_id = self.id_of_entries(identity_flat(n))
-        self._generator_ids = generator_ids
+        # both set by ``_close`` on the first read of ``generator_ids``
+        self._generator_ids = None
+        self.schreier_tree = None
         self._inverse_ids = None
         self._transpose_ids = None
         self._center_ids = None
@@ -246,9 +247,43 @@ class GroupTable:
     @property
     def generator_ids(self) -> list[int]:
         if self._generator_ids is None:
-            self._generator_ids = _greedy_generators(
-                self, chain(_gl_seeds(self), range(self.order)))
+            self._close()
         return self._generator_ids
+
+    def _close(self) -> None:
+        """The generators and the Schreier tree from one closure.
+
+        Scan the candidate ids in order (GL: ``_gl_seeds``, O: the
+        hyperplane reflections) and keep each one not yet reached; each
+        kept one extends the BFS tree under left multiplication by all kept
+        generators from everything reached so far.  Edges (k, xs, ys) have
+        ys = g_k xs, each x reached before any edge leaves it.  Raises
+        unless every id is reached."""
+        candidates = (_gl_seeds(self) if self.kind == "GL"
+                      else _reflection_ids(self))
+        reached = np.zeros(self.order, dtype=bool)
+        reached[self.identity_id] = True
+        gens, left, edges = [], [], []
+        for cand in candidates:
+            if reached[cand]:
+                continue
+            gens.append(cand)
+            left.append(self.id_perm(cand, left=True))
+            frontier = np.flatnonzero(reached).astype(np.int32)
+            while frontier.size:
+                found = []
+                for k, lam in enumerate(left):
+                    ys = lam[frontier]
+                    fresh = ~reached[ys]
+                    if fresh.any():
+                        ys = ys[fresh]
+                        reached[ys] = True
+                        edges.append((k, frontier[fresh], ys))
+                        found.append(ys)
+                frontier = np.concatenate(found) if found else frontier[:0]
+        if not reached.all():
+            raise InternalCheckError("generator search did not close the group")
+        self._generator_ids, self.schreier_tree = gens, edges
 
     @functools.cached_property
     def generator_perms(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -257,30 +292,15 @@ class GroupTable:
         return ([self.id_perm(g, left=True) for g in gens],
                 [self.id_perm(g) for g in gens])
 
-    @functools.cached_property
-    def schreier_tree(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """BFS tree from the identity under left multiplication by the
-        generators, as edges (k, xs, ys) with ys = g_k xs, in BFS order:
-        each x is reached before any edge leaves it."""
-        left, _ = self.generator_perms
-        seen = np.zeros(self.order, dtype=bool)
-        seen[self.identity_id] = True
-        frontier = np.array([self.identity_id], dtype=np.int32)
-        edges = []
-        while frontier.size:
-            found = []
-            for k, lam in enumerate(left):
-                ys, first = np.unique(lam[frontier], return_index=True)
-                fresh = ~seen[ys]
-                ys, xs = ys[fresh], frontier[first[fresh]]
-                if ys.size:
-                    seen[ys] = True
-                    edges.append((k, xs, ys))
-                    found.append(ys)
-            frontier = np.concatenate(found) if found else frontier[:0]
-        if not seen.all():
-            raise InternalCheckError("generators do not reach every element")
-        return edges
+    def _spread(self, root, perms: list[np.ndarray]) -> np.ndarray:
+        """Values carried along the Schreier tree: ``root`` at the identity
+        and, along each edge y = g_k x, perms[k] of x's value at y."""
+        root = np.asarray(root, dtype=np.int32)
+        out = np.empty((self.order,) + root.shape, dtype=np.int32)
+        out[self.identity_id] = root
+        for k, xs, ys in self.schreier_tree:
+            out[ys] = perms[k][out[xs]]
+        return out
 
     def right_rows(self, t):
         """Right-regular rows x -> x t of the ids t, as int32 blocks of shape
@@ -292,12 +312,7 @@ class GroupTable:
         left, _ = self.generator_perms
         step = max(1, ROW_CHUNK // self.order)
         for start in range(0, len(t), step):
-            block = t[start:start + step]
-            rows = np.empty((self.order, len(block)), dtype=np.int32)
-            rows[self.identity_id] = block
-            for k, xs, ys in self.schreier_tree:
-                rows[ys] = left[k][rows[xs]]
-            yield rows.T
+            yield self._spread(t[start:start + step], left).T
 
     def conjugation_perms(self) -> list[np.ndarray]:
         """x -> g x g^-1 for each generator g: lambda_g after rho_g^-1."""
@@ -310,11 +325,8 @@ class GroupTable:
         then checked as x inv[x] = 1 for every x by one batched product."""
         if self._inverse_ids is None:
             _, right = self.generator_perms
-            back = [invert_perm(rho) for rho in right]
-            inv = np.empty(self.order, dtype=np.int32)
-            inv[self.identity_id] = self.identity_id
-            for k, xs, ys in self.schreier_tree:
-                inv[ys] = back[k][inv[xs]]
+            inv = self._spread(self.identity_id,
+                               [invert_perm(rho) for rho in right])
             if np.any(mul_batch(self.mat, self.mat[inv], self.n, self.field)
                       != self.mat[self.identity_id]):
                 raise InternalCheckError("inverse table is wrong")
@@ -354,7 +366,7 @@ class GroupTable:
 
 def _gl_seeds(table: GroupTable) -> list[int]:
     """Ids of a transvection, the cyclic permutation matrix and diag(g, 1,
-    ..., 1) for a primitive g, where they lie in the table."""
+    ..., 1) for a primitive g: together they generate GL_n(F_q)."""
     n, f = table.n, table.field
     seeds = []
     if n >= 2:
@@ -369,30 +381,16 @@ def _gl_seeds(table: GroupTable) -> list[int]:
         diag = list(identity_flat(n))
         diag[0] = g
         seeds.append(tuple(diag))
-    codes = encode(np.array(seeds, dtype=np.uint8).reshape(-1, n * n), f.q)
-    return table.ids_of_codes(codes[np.isin(codes, table.codes)]).tolist()
+    return table.ids_of(np.array(seeds, dtype=np.uint8).reshape(-1, n * n)
+                        ).tolist()
 
 
-def _greedy_generators(table: GroupTable, candidates) -> list[int]:
-    """Scan candidate ids in order and keep each one that the kept ones do
-    not yet generate (the identity's orbit under their right permutations),
-    until that orbit is the whole table; raises if it never is."""
-    gens: list[int] = []
-    perms = []
-    known = np.zeros(table.order, dtype=bool)
-    known[table.identity_id] = True
-    for cand in candidates:
-        if known.all():
-            break
-        if known[cand]:
-            continue
-        gens.append(cand)
-        perms.append(table.id_perm(cand))
-        label = orbits(perms, table.order)
-        known = label == label[table.identity_id]
-    if not known.all():
-        raise InternalCheckError("generator search did not close the group")
-    return gens
+def _reflection_ids(table: GroupTable) -> list[int]:
+    """Ids of the hyperplane reflections of an O table, in id order; by
+    Cartan-Dieudonne they generate it."""
+    vectors, f = table.vectors, table.field
+    ws = vectors[_inner(vectors, vectors, f) != 0]
+    return np.unique(table.ids_of(_reflection_entries(f, ws))).tolist()
 
 
 def enumerate_gl(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
@@ -458,9 +456,9 @@ def enumerate_o(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
     the units' orthogonality table.
 
     Three routes check the table: every element passes g^T g = I; the
-    closed-form order; and reflections kept in id order by
-    ``_greedy_generators`` generate exactly the table (Cartan-Dieudonne),
-    every product being looked up by ``ids_of``."""
+    closed-form order; and the closure over the reflections in id order
+    reaches exactly the table (Cartan-Dieudonne), every product being
+    looked up by ``ids_of``."""
     if field.p == 2:
         raise DomainError(
             "orthogonal pipeline requires odd q (reflections divide by 2)")
@@ -490,9 +488,7 @@ def enumerate_o(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
         raise InternalCheckError("row extension left the orthogonal group")
 
     table = GroupTable("O", n, field, prefixes)
-    reflections = table.ids_of(_reflection_entries(field, vectors[norms != 0]))
-    table._generator_ids = _greedy_generators(
-        table, np.unique(reflections).tolist())
+    table._close()
     return table
 
 

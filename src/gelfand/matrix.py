@@ -1,9 +1,10 @@
 """Exact dense linear algebra over GF(q).
 
 A matrix stores its entries as a flat row-major tuple of canonical field
-indices plus a reference to its field; it is immutable and hashable.  The
-canonical byte encoding (rows, cols, entries) doubles as the lookup key in
-group tables, so it must stay injective and stable.
+indices plus a reference to its field; it is immutable and hashable.  Its
+canonical byte encoding (rows, cols, entries) is injective for q <= 25;
+group tables key their elements by int64 base-q codes (``groups.encode``)
+instead.
 
 Vectors are plain tuples of field indices; helpers below cover the
 matrix-vector and inner products the rest of the package needs.
@@ -162,7 +163,8 @@ class MatFq:
         return self.entries[i * self.cols + j]
 
     def encode(self) -> bytes:
-        """Canonical byte key (rows, cols, entries); injective for q <= 25."""
+        """Canonical bytes (rows, cols, entries); injective for q <= 25.  Not
+        the group-table key, which is the int64 code of ``groups.encode``."""
         return bytes((self.rows, self.cols)) + bytes(self.entries)
 
     # -- arithmetic ----------------------------------------------------------
@@ -214,9 +216,6 @@ class MatFq:
         return MatFq(self.field, self.rows, self.rows,
                      inverse_flat(self.entries, self.rows, self.field))
 
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -247,10 +246,6 @@ def vec_sub(field: Fq, a: tuple, b: tuple) -> tuple:
 
 def vec_add(field: Fq, a: tuple, b: tuple) -> tuple:
     return tuple(field.add(x, y) for x, y in zip(a, b))
-
-
-def vec_scale(field: Fq, c: Scalar, a: tuple) -> tuple:
-    return tuple(field.mul(c, x) for x in a)
 
 
 def mat_vec(m: MatFq, v: tuple) -> tuple:

@@ -102,6 +102,8 @@ def enumerate_group(kind: str, n: int, field: Fq,
     enum = {"gl": enumerate_gl, "o": enumerate_o}.get(kind)
     if enum is None:
         raise DomainError(f"unknown pair kind {kind!r}")
+    if n < 1:
+        raise DomainError("n must be >= 1")
     return enum(n, field, cap)
 
 
@@ -112,8 +114,6 @@ def run_verify(kind: str, n: int, q: int, *,
     kind = kind.lower()
     if kind not in ("gl", "o"):
         raise DomainError(f"unknown pair kind {kind!r}")
-    if n < 1:
-        raise DomainError("n must be >= 1")
     timings: dict[str, float] = {}
 
     def staged(name, fn):

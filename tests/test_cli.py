@@ -252,6 +252,19 @@ def test_cli_sweep_explicit_points(tmp_path, capsys):
 def test_cli_sweep_bad_points(capsys):
     assert main(["sweep", "--points", "gl:2"]) == 2
     assert main(["sweep", "--points", "sp:2:3"]) == 2
+    assert main(["sweep", "--points", "gl:x:2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "order", "--type", "gl", "--n", "0", "--q", "2"],
+    ["cosets", "--pair", "gl", "--n", "0", "--q", "2"],
+    ["chartab", "--type", "o", "--n", "0", "--q", "3"],
+    ["verify", "--kind", "gl", "--n", "0", "--q", "2"],
+    ["field", "info", "--q", str(2 ** 31 - 1)],
+])
+def test_cli_usage_errors_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_internal_error_exit_code(monkeypatch, capsys):

@@ -60,6 +60,11 @@ def test_size_cap():
         build_field(29, 1)
     with pytest.raises(CapExceededError):
         build_field(2, 5)
+    # the cap trips before trial division, which would stall on these
+    with pytest.raises(CapExceededError):
+        field_from_q(2 ** 31 - 1)
+    with pytest.raises(CapExceededError):
+        build_field(2 ** 31 - 1, 1)
     assert build_field(5, 2).q == 25  # boundary fits
 
 

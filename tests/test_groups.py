@@ -126,6 +126,22 @@ def test_o_generators_are_few_reflections(n, q, count):
         assert g_minus_i.rank() == 1
 
 
+@pytest.mark.parametrize("n,q,count", [(1, 2, 0), (1, 3, 1), (2, 2, 2),
+                                       (2, 3, 2), (2, 4, 3), (2, 5, 3),
+                                       (2, 8, 3), (3, 2, 2), (3, 3, 3),
+                                       (4, 2, 2)])
+def test_gl_generators_are_the_first_seeds_needed(n, q, count):
+    table = enumerate_gl(n, field_from_q(q))
+    assert table.generator_ids == groups._gl_seeds(table)[:count]
+
+
+def test_gl_seeds_that_do_not_generate_are_caught(f3, monkeypatch):
+    seeds = groups._gl_seeds
+    monkeypatch.setattr(groups, "_gl_seeds", lambda table: seeds(table)[:1])
+    with pytest.raises(InternalCheckError, match="did not close"):
+        enumerate_gl(2, f3).generator_ids
+
+
 def test_o_reflection_outside_the_table_is_caught(f3, monkeypatch):
     reflections = groups._reflection_entries
 

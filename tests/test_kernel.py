@@ -130,6 +130,25 @@ def test_corrupted_tree_fails_the_structure_constant_cross_check(
         _class_algebra(g, classes)
 
 
+CLOSURE_GROUPS = KERNEL_GROUPS | {"GL4(F2)": (enumerate_gl, 4, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+def test_the_closure_leaves_a_tree_of_left_products(name):
+    enum, n, q = CLOSURE_GROUPS[name]
+    g = enum(n, field_from_q(q))
+    left = [g.id_perm(i, left=True) for i in g.generator_ids]
+    reached = np.zeros(g.order, dtype=bool)
+    reached[g.identity_id] = True
+    for k, xs, ys in g.schreier_tree:
+        assert np.array_equal(ys, left[k][xs])
+        assert reached[xs].all()
+        reached[ys] = True
+    ys = np.concatenate([ys for _, _, ys in g.schreier_tree])
+    assert sorted(ys.tolist()) == [
+        i for i in range(g.order) if i != g.identity_id]
+
+
 # -- products by a fixed matrix: row-code gathers ----------------------------------
 
 # every product path the pipeline meets: prime and extension fields, GL and O
