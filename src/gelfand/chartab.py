@@ -4,9 +4,7 @@ Conjugacy classes are the orbits (``groups.orbits``) of the id permutations
 x -> a x a^-1 for the generators a of the group, gathered from the
 generators' cached left and right permutations
 (``GroupTable.conjugation_perms``); class ids follow the minimal element
-ids.  The right-regular rows x -> x t of the class representatives t
-(``GroupTable.right_rows``, gathers along the Schreier tree) give both the
-element orders and the structure constants, in one walk.
+ids.
 
 Character values live in Z[zeta_m] for m the group exponent; instead of
 cyclotomic arithmetic everything is computed in F_l for a prime l chosen
@@ -14,21 +12,36 @@ with l = 1 (mod m) and l > 2|G|.  The first condition makes F_l contain a
 primitive m-th root of unity, so every character value reduces to a
 residue; the second makes every integer quantity we report (degrees,
 invariant dimensions, coset counts) recoverable from its residue by
-lifting into a stated interval.
+lifting into a stated interval.  So the element orders come first, before
+any walk over the group: the class reps' powers t, t^2, ..., t^(2^j) by
+batched doubling (``mul_batch``), until each reaches the identity.
 
 The table itself comes from the class algebra.  With class sums z_i and
-structure constants a_ijm (z_i z_j = sum_m a_ijm z_m;
-counted with ``np.bincount`` from the rows of the class representatives;
-one row is recomputed by ``GroupTable.perm`` as a cross-check), the vector
+structure constants a_ijm (z_i z_j = sum_m a_ijm z_m), the vector
 w = (omega(z_1), ..., omega(z_k)) of a central character satisfies
 N_i w = w_i w for the matrix N_i[j][m] = a_ijm, so the k vectors w are
-eigenvectors of N = sum_i s^i N_i.  The identity-class unit vector u has a
-nonzero component d_chi^2/|G| on every w_chi; a Krylov basis of u gives the
-minimal polynomial P of N, and each Lagrange projection P(N)/(N - mu) u is
-u's component at one eigenvalue mu.  With s = 2 these are usually the k
-vectors w; components sharing an eigenvalue are split again by s = 3, 4,
-..., k + 1.  Degrees follow from the first orthogonality relation, values
-from chi_i = d * w_i / h_i.
+eigenvectors of every separator N_s = sum_i s^i N_i.  Only separators are
+ever used, so the (k, k, k) tensor is never built: N_s is counted directly
+by one walk over the right-regular rows x -> x t of the class reps
+(``GroupTable.right_rows``, gathers along the Schreier tree; Dixon-Schneider,
+G. Schneider, J. Symbolic Comput. 9, 1990).  Column m is a ``bincount`` of
+the classes of u t_m weighted by s^(class of u^-1), in float64, exact while
+|G| (l - 1) < 2^53.  The first walk also reads the element orders off the
+rows, a second route to the powers, and one of its rows is recomputed by
+``GroupTable.perm``.
+
+The identity-class unit vector u has a nonzero component d_chi^2/|G| on
+every w_chi; a Krylov basis of u gives the minimal polynomial P of N_s, and
+each Lagrange projection P(N_s)/(N_s - mu) u is u's component at one
+eigenvalue mu.  The roots mu come from one int64 product: for a primitive
+root g mod l, P(g^(a + n1 b)) with n1 ~ sqrt(l) is entry (a, b) of
+(U diag(c)) V, U[a, j] = g^(a j) and V[j, b] = g^(n1 b j).  Every int64
+product mod l sums at most k + 1 terms below l^2, exact while
+(k + 1) l^2 < 2^63; both bounds are checked before the walk.  With s = 2
+the projections are usually the k vectors w, from one walk; components
+sharing an eigenvalue are split again by s = 3, 4, ..., k + 1, one walk
+each.  Degrees follow from the first orthogonality relation, values from
+chi_i = d * w_i / h_i.
 
 Invariant dimensions are averaged character sums:
 dim pi^H = (1/|H|) sum_{h in H} chi(h), computed mod l and lifted into
@@ -45,12 +58,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, InternalCheckError
+from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import is_prime
-from .groups import Embedding, GroupTable, orbits
+from .groups import Embedding, GroupTable, encode, orbits
 # perfbench/tracing.py counts group-element products through this name in
 # every module that loops over a group, so the import stays.
-from .matrix import format_matrix, mul_flat  # noqa: F401
+from .matrix import format_matrix, mul_batch, mul_flat  # noqa: F401
 
 PRIME_SEARCH_BOUND = 10 ** 7
 CACHE_SCHEMA = "gelfand-chartab/1"
@@ -94,6 +107,37 @@ def element_order(g: GroupTable, i: int) -> int:
         cur = g.mul_ids(cur, i)
         m += 1
     return m
+
+
+def power_orders(g: GroupTable, ids) -> list[int]:
+    """Orders of the elements t of ``ids`` by batched doubling: from the
+    powers t, ..., t^(2^j) of every t not yet seen at the identity, one
+    ``mul_batch`` by t^(2^j) gives t^(2^j + 1), ..., t^(2^(j+1)); t's order
+    is the exponent of its first power with the identity's code."""
+    n = g.n
+    identity_code = g.codes[g.identity_id]
+    ids = np.asarray(ids, dtype=np.int64)
+    order = np.zeros(len(ids), dtype=np.int64)
+    live = np.arange(len(ids))
+    powers = g.mat[ids][:, None]  # powers[i, e - 1] = t_i^e, e <= 2^j
+    new, done = powers, 0  # new[i, e] = t_i^(done + 1 + e)
+    while True:
+        hits = encode(new.reshape(-1, n * n), g.field.q).reshape(
+            new.shape[:2]) == identity_code
+        found = hits.any(1)
+        order[live[found]] = done + 1 + hits[found].argmax(1)
+        live, powers = live[~found], powers[~found]
+        if not live.size:
+            return order.tolist()
+        done = powers.shape[1]
+        if done >= g.order:
+            raise InternalCheckError(
+                f"powers of {format_matrix(g.element(int(ids[live[0]])))} "
+                "never reach the identity")
+        new = mul_batch(np.repeat(powers[:, -1], done, axis=0),
+                        powers.reshape(-1, n * n), n, g.field
+                        ).reshape(powers.shape)
+        powers = np.concatenate([powers, new], axis=1)
 
 
 def _block_orders(g: GroupTable, rows: np.ndarray) -> list[int]:
@@ -149,6 +193,10 @@ def _smallest_primitive_root(l: int) -> int:
 # -- linear algebra over F_l ----------------------------------------------------
 
 def _rref(mat: np.ndarray, l: int):
+    """Reduced row echelon form mod l and its pivot columns.  Each pivot
+    reduces only its own row and column and subtracts one unreduced rank-1
+    update, so entries stay below (rows + 1) l^2 in absolute value; the
+    matrix is reduced once at the end."""
     m = mat % l
     rows, cols = m.shape
     pivots = []
@@ -156,27 +204,57 @@ def _rref(mat: np.ndarray, l: int):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        col = m[:, c] % l
+        nz = np.nonzero(col[r:])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, l)) % l
-        col = m[:, c].copy()
+            col[[r, i]] = col[[i, r]]
+        m[r] = m[r] % l * pow(int(col[r]), -1, l) % l
         col[r] = 0
-        m = (m - np.outer(col, m[r])) % l
+        m -= np.outer(col, m[r])
         pivots.append(c)
         r += 1
-    return m, pivots
+    return m % l, pivots
 
 
-def _poly_roots(coeffs: np.ndarray, l: int) -> np.ndarray:
-    lam = np.arange(l, dtype=np.int64)
-    acc = np.zeros(l, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc * lam + c) % l
-    return np.nonzero(acc == 0)[0]
+def _powers(base, count: int, l: int) -> np.ndarray:
+    """out[i, j] = base[i]^j mod l for j < count, doubling the known
+    columns at each step."""
+    step = np.array(base, dtype=np.int64)  # base^m
+    out = np.ones((len(step), count), dtype=np.int64)
+    m = 1
+    while m < count:
+        width = min(m, count - m)
+        out[:, m:m + width] = out[:, :width] * step[:, None] % l
+        step = step * step % l
+        m *= 2
+    return out
+
+
+def _poly_roots(coeffs: np.ndarray, l: int, g: int) -> np.ndarray:
+    """The roots in F_l, ascending, of P = sum_j coeffs[j] x^j of degree r,
+    for a primitive root g mod l.  0 is a root when coeffs[0] is 0; every
+    other residue is g^(a + n1 b) with a < n1 ~ sqrt(l - 1) and b < n2, and
+    P(g^(a + n1 b)) = sum_j (g^(a j) c_j) g^(n1 b j) is entry (a, b) of one
+    int64 product (U diag(c)) V, exact while (r + 1) (l - 1)^2 < 2^63."""
+    r = len(coeffs) - 1
+    n1 = math.isqrt(l - 1)
+    n2 = -(-(l - 1) // n1)
+    g_a = _powers([g], n1, l)[0]  # g^a
+    g_b = _powers([pow(g, n1, l)], n2, l)[0]  # g^(n1 b)
+    # V as the transpose of a C-ordered array: numpy's integer matmul
+    # then reads both operands along their rows, twice as fast
+    values = (_powers(g_a, r + 1, l) * coeffs % l) @ _powers(g_b, r + 1, l).T
+    values %= l
+    a, b = np.nonzero(values == 0)
+    inside = a + n1 * b < l - 1  # n1 n2 may pass l - 1 exponents
+    roots = g_a[a[inside]] * g_b[b[inside]] % l
+    if coeffs[0] % l == 0:
+        roots = np.append(roots, 0)
+    return np.sort(roots)
 
 
 def _separator_bases(k: int) -> range:
@@ -185,12 +263,12 @@ def _separator_bases(k: int) -> range:
     return range(2, k + 2)
 
 
-def _lagrange_split(n_mat: np.ndarray, v: np.ndarray, l: int,
+def _lagrange_split(n_mat: np.ndarray, v: np.ndarray, l: int, g: int,
                     cap: int) -> np.ndarray:
     """v's components in the eigenspaces of n_mat, as columns: the Krylov
     basis K = [v, N v, ...] (no longer than cap, the characters v may hold)
     gives the minimal polynomial P of N on v, and K (P(x) / (x - mu)) the
-    component at mu."""
+    component at mu.  g is a primitive root mod l."""
     krylov = np.zeros((len(v), cap + 1), dtype=np.int64)
     krylov[:, 0] = v
     for j in range(cap):
@@ -199,9 +277,11 @@ def _lagrange_split(n_mat: np.ndarray, v: np.ndarray, l: int,
     r = len(pivots)
     if r > cap:
         raise InternalCheckError("a Krylov space outgrows its part")
+    if r == 1:  # v is an eigenvector: P = x - mu has its one root
+        return krylov[:, :1]
     # N^r v = sum_j red[j, r] N^j v, so P = x^r - sum_j red[j, r] x^j
     poly = np.append(-red[:r, r] % l, 1)
-    mu = _poly_roots(poly, l)
+    mu = _poly_roots(poly, l, g)
     if len(mu) != r:
         raise InternalCheckError("a class-algebra element is not "
                                  "diagonalisable over F_l")
@@ -212,23 +292,21 @@ def _lagrange_split(n_mat: np.ndarray, v: np.ndarray, l: int,
     return krylov[:, :r] @ quot.T % l
 
 
-def _split_eigenspaces(a: np.ndarray, l: int,
+def _split_eigenspaces(separator, k: int, l: int, g: int,
                        identity_class: int) -> np.ndarray:
-    """Common eigenvectors of the class matrices N_i = a[i], one per
-    irreducible, as the columns of a (k, k) array with identity entry 1:
-    each N = sum_i s^i N_i splits every part of the identity-class unit
-    vector into its components in N's eigenspaces."""
-    k = a.shape[0]
-    flat = a.reshape(k, k * k)  # a view: the (k, k, k) tensor is not copied
+    """Common eigenvectors of the k class matrices N_i, one per irreducible,
+    as the columns of a (k, k) array with identity entry 1: each separator
+    N_s = sum_i s^i N_i, read as ``separator(s)``, splits every part of the
+    identity-class unit vector into its components in N_s's eigenspaces.
+    g is a primitive root mod l."""
     parts = np.zeros((k, 1), dtype=np.int64)
     parts[identity_class, 0] = 1
     used = []
     for s in _separator_bases(k):
         if parts.shape[1] == k:
             break
-        coeffs = np.array([pow(s, i, l) for i in range(k)], dtype=np.int64)
-        used.append((coeffs @ flat).reshape(k, k) % l)
-        parts = np.hstack([_lagrange_split(used[-1], v, l,
+        used.append(separator(s))
+        parts = np.hstack([_lagrange_split(used[-1], v, l, g,
                                            k - parts.shape[1] + 1)
                            for v in parts.T])
     if parts.shape[1] != k:
@@ -266,39 +344,48 @@ class CharacterTable:
         return int(self.classes.class_of[self.group.identity_id])
 
 
-def _class_algebra(g: GroupTable,
-                   classes: ConjClasses) -> tuple[list[int], np.ndarray]:
-    """Orders of the class reps t_m and a[i, j, m] = #{(x, y) in C_i x C_j :
-    x y = t_m}, from one walk over the reps' right-regular rows.
+def _separator(g: GroupTable, classes: ConjClasses, l: int, s: int,
+               orders: list[int] | None = None) -> np.ndarray:
+    """N_s = sum_i s^i N_i mod l for the class matrices N_i[j, m] =
+    #{(x, y) in C_i x C_j : x y = t_m}, from one walk over the reps'
+    right-regular rows.
 
-    The pairs are (u^-1, u t_m) for u in G, so each class rep t_m needs the
-    class of every u t_m: its right-regular row.  The first block's last row
-    is also made by ``GroupTable.perm``, checked before any order is read."""
+    The pairs are (u^-1, u t_m) for u in G, so column m counts the classes
+    of row t_m's entries u t_m, each weighted by s^(class of u^-1): one
+    float64 ``bincount`` per row, exact while |G| (l - 1) < 2^53.
+    The first block's last row is also made by ``GroupTable.perm``, checked
+    first; with ``orders`` given, the orders read off the rows must equal
+    them."""
     k = classes.count
     class_of = classes.class_of
-    inv_cell = class_of[g.inverse_ids] * k
-    a = np.zeros((k, k, k), dtype=np.int64)
-    orders = []
-    m_idx = 0
+    power = np.array([pow(s, i, l) for i in range(k)])  # s^i mod l
+    w = power.astype(np.float64)[class_of[g.inverse_ids]]
+    n_s = np.empty((k, k), dtype=np.int64)
+    m = 0
     for rows in g.right_rows(classes.reps):
-        for row in rows:
-            a[:, :, m_idx] = np.bincount(inv_cell + class_of[row],
-                                         minlength=k * k).reshape(k, k)
-            m_idx += 1
-        rep = classes.reps[m_idx - 1]
-        if m_idx == len(rows) and rep != g.identity_id and not np.array_equal(
+        rep = classes.reps[m + len(rows) - 1]
+        if m == 0 and rep != g.identity_id and not np.array_equal(
                 rows[-1], g.perm(g.mat[rep])):
             raise InternalCheckError("right-regular row of class rep "
                                      f"{format_matrix(g.element(rep))} "
                                      "differs from its batched product")
-        orders += _block_orders(g, rows)
-    # orientation sanity: x y = identity forces y = x^-1
-    expected = np.zeros((k, k), dtype=np.int64)
-    expected[np.arange(k), classes.inverse_class] = classes.sizes
-    if not np.array_equal(a[:, :, class_of[g.identity_id]], expected):
-        raise InternalCheckError("structure constants fail the "
-                                 "inverse-class identity")
-    return orders, a
+        if orders is not None:
+            for i, o in enumerate(_block_orders(g, rows), m):
+                if o != orders[i]:
+                    rep = format_matrix(g.element(classes.reps[i]))
+                    raise InternalCheckError(
+                        f"class rep {rep} has order {orders[i]} by powers "
+                        f"but {o} along its right row")
+        for row in rows:
+            n_s[:, m] = np.bincount(class_of[row], weights=w, minlength=k) % l
+            m += 1
+    # orientation sanity: x y = identity forces y = x^-1, so the identity
+    # column holds h_j s^(inverse class of j)
+    if not np.array_equal(n_s[:, class_of[g.identity_id]],
+                          power[classes.inverse_class] * classes.sizes % l):
+        raise InternalCheckError("a separator fails the inverse-class "
+                                 "identity")
+    return n_s
 
 
 def _verify_orthogonality(t: CharacterTable):
@@ -336,13 +423,29 @@ def character_table(g: GroupTable, classes: ConjClasses,
             return cached
 
     order = g.order
-    orders, a = _class_algebra(g, classes)
+    k = classes.count
+    orders = power_orders(g, classes.reps)
     exponent = math.lcm(*orders)
     l = choose_modulus(order, exponent)
-    root = pow(_smallest_primitive_root(l), (l - 1) // exponent, l)
+    # exact arithmetic: a separator sums |G| float64 weights below l, and
+    # every int64 product mod l sums at most k + 1 terms below l^2
+    if order * (l - 1) >= 2 ** 53 or (k + 1) * l * l >= 2 ** 63:
+        raise CapExceededError(f"|G| = {order} with k = {k} classes mod "
+                               f"l = {l} overflows exact class-algebra sums")
+    primitive = _smallest_primitive_root(l)
+    root = pow(primitive, (l - 1) // exponent, l)
 
-    # one normalised central character w per row
-    w = _split_eigenspaces(a, l, classes.class_of[g.identity_id]).T
+    # one normalised central character w per row; the first walk also
+    # checks the element orders along the rows
+    walked = []
+
+    def separator(s: int) -> np.ndarray:
+        n_s = _separator(g, classes, l, s, None if walked else orders)
+        walked.append(s)
+        return n_s
+
+    w = _split_eigenspaces(separator, k, l, primitive,
+                           classes.class_of[g.identity_id]).T
     inv_sizes = np.array([pow(s, -1, l) for s in classes.sizes])
     denoms = (w * w[:, classes.inverse_class] % l * inv_sizes % l).sum(1) % l
     sqrt_cap = math.isqrt(order)

@@ -84,6 +84,10 @@ class Fq:
     def __init__(self, p: int, e: int):
         if e < 1:
             raise DomainError(f"extension degree must be >= 1, got {e}")
+        # p^e > cap once p >= 2 and 2^e > cap: refuse before taking the power
+        if p >= 2 and e >= DEFAULT_MAX_Q.bit_length():
+            raise CapExceededError(
+                f"q = {p}^{e} exceeds size cap {DEFAULT_MAX_Q}")
         q = p ** e
         if q > DEFAULT_MAX_Q:  # before trial division, which a large p stalls
             raise CapExceededError(f"q = {q} exceeds size cap {DEFAULT_MAX_Q}")

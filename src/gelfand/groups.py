@@ -83,8 +83,9 @@ def o_order(n: int, field: Fq) -> int:
 
 
 def check_code_range(n: int, q: int) -> None:
-    """Base-q codes of n x n matrices must fit in an int64."""
-    if q ** (n * n) >= 2 ** 63:
+    """Base-q codes of n x n matrices must fit in an int64.  Every q >= 2
+    overflows once n^2 >= 63, so the power is only taken below that."""
+    if n * n >= 63 or q ** (n * n) >= 2 ** 63:
         raise CapExceededError(
             f"codes of {n}x{n} matrices over F_{q} overflow int64")
 

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,14 +8,17 @@ import pytest
 from gelfand import chartab
 from gelfand.chartab import (cache_path, character_table, choose_modulus,
                              conjugacy_classes, dim_invariants, element_order,
-                             load_character_table, save_character_table,
+                             load_character_table, power_orders,
+                             save_character_table,
                              transpose_preserves_classes, verify_pair,
-                             _class_algebra, _split_eigenspaces)
+                             _poly_roots, _rref, _separator,
+                             _smallest_primitive_root, _split_eigenspaces)
 from gelfand.cosets import double_cosets, involution_action
-from gelfand.errors import InternalCheckError
+from gelfand.errors import CapExceededError, InternalCheckError
 from gelfand.field import field_from_q
 from gelfand.groups import (embed_identity, embed_standard, enumerate_gl,
                             enumerate_o)
+from gelfand.matrix import format_matrix, mul_batch
 
 
 def build(kind, n, q):
@@ -23,6 +27,20 @@ def build(kind, n, q):
     g = enum(n, field)
     classes = conjugacy_classes(g)
     return g, classes
+
+
+def reference_tensor(g, classes):
+    """a[i, j, m] = #{(x, y) in C_i x C_j : x y = t_m}, from all |G|^2
+    products by ``mul_batch``: the pairs with x y in C_m, over h_m."""
+    k = classes.count
+    cls = classes.class_of
+    a = np.zeros((k, k, k), dtype=np.int64)
+    for x in range(g.order):
+        xy = g.ids_of(mul_batch(g.mat[x], g.mat, g.n, g.field))
+        np.add.at(a, (cls[x], cls, cls[xy]), 1)
+    sizes = np.array(classes.sizes)
+    assert not (a % sizes).any()
+    return a // sizes
 
 
 # ---------------------------------------------------------
@@ -73,7 +91,39 @@ def test_inverse_class():
 def test_exponent_and_element_orders():
     g, classes = build("gl", 2, 2)
     assert sorted(element_order(g, r) for r in classes.reps) == [1, 2, 3]
-    assert math.lcm(*_class_algebra(g, classes)[0]) == 6
+    assert math.lcm(*power_orders(g, classes.reps)) == 6
+
+
+@pytest.mark.parametrize("kind,n,q", [("gl", 2, 3), ("gl", 2, 4),
+                                      ("gl", 3, 2), ("o", 3, 3),
+                                      ("gl", 1, 25)])
+def test_power_orders_equal_element_orders(kind, n, q):
+    g, classes = build(kind, n, q)
+    assert power_orders(g, classes.reps) == \
+        [element_order(g, r) for r in classes.reps]
+
+
+def test_powers_that_never_reach_the_identity_raise(monkeypatch):
+    g, classes = build("gl", 2, 2)
+    # a broken product that returns its right factor: t^e = t for every e
+    monkeypatch.setattr(chartab, "mul_batch", lambda a, b, n, f: b)
+    with pytest.raises(InternalCheckError,
+                       match=r"powers of .* never reach the identity"):
+        power_orders(g, classes.reps)
+
+
+def test_an_order_mismatch_names_the_rep(monkeypatch):
+    g, classes = build("gl", 2, 3)
+    true = power_orders(g, classes.reps)
+    at = max(range(classes.count), key=true.__getitem__)
+    # doubling the largest order keeps l = 1 (mod exponent) valid
+    wrong = true[:at] + [2 * true[at]] + true[at + 1:]
+    monkeypatch.setattr(chartab, "power_orders", lambda g, ids: wrong)
+    rep = format_matrix(g.element(classes.reps[at]))
+    with pytest.raises(InternalCheckError,
+                       match=rf"class rep {re.escape(rep)} has order "
+                             rf"{2 * true[at]} by powers but {true[at]}"):
+        character_table(g, classes)
 
 
 # ---------------------------------------------------------
@@ -212,20 +262,41 @@ def test_column_orthogonality_recomputed():
 
 
 def test_structure_constants_total_mass():
-    # sum_m a_ijm * h_m = h_i * h_j
+    # sum_m a_ijm * h_m = h_i * h_j, and so sum_m N_s[j, m] h_m =
+    # sum_i s^i h_i h_j mod l for the walked separators
     g, classes = build("gl", 2, 2)
-    _, a = _class_algebra(g, classes)
+    a = reference_tensor(g, classes)
     k = classes.count
+    h = classes.sizes
     for i in range(k):
         for j in range(k):
-            total = sum(a[i][j][m] * classes.sizes[m] for m in range(k))
-            assert total == classes.sizes[i] * classes.sizes[j]
+            total = sum(a[i][j][m] * h[m] for m in range(k))
+            assert total == h[i] * h[j]
+    l = 13
+    for s in (2, 3):
+        n_s = _separator(g, classes, l, s)
+        for j in range(k):
+            assert sum(int(n_s[j, m]) * h[m] for m in range(k)) % l == \
+                sum(pow(s, i, l) * h[i] * h[j] for i in range(k)) % l
+
+
+@pytest.mark.parametrize("kind,n,q", [("gl", 2, 2), ("gl", 2, 3),
+                                      ("gl", 2, 4), ("o", 3, 3),
+                                      ("gl", 1, 25)])
+def test_walked_separators_equal_the_weighted_tensor_sums(kind, n, q):
+    g, classes = build(kind, n, q)
+    a = reference_tensor(g, classes)
+    l = character_table(g, classes).l
+    for s in (2, 3):
+        weights = np.array([pow(s, i, l) for i in range(classes.count)])
+        assert np.array_equal(_separator(g, classes, l, s),
+                              np.tensordot(weights, a, axes=1) % l)
 
 
 def test_central_character_coherence():
     g, classes = build("gl", 2, 3)
     t = character_table(g, classes)
-    exponent = math.lcm(*_class_algebra(g, classes)[0])
+    exponent = math.lcm(*(element_order(g, r) for r in classes.reps))
     l = t.l
     for z in g.center_ids():
         c = classes.class_of[z]
@@ -238,7 +309,7 @@ def test_central_character_coherence():
 def test_root_is_a_primitive_root_of_unity():
     g, classes = build("gl", 2, 3)
     t = character_table(g, classes)
-    m = math.lcm(*_class_algebra(g, classes)[0])
+    m = math.lcm(*(element_order(g, r) for r in classes.reps))
     assert pow(t.root, m, t.l) == 1
     for p in (2, 3):
         if m % p == 0:
@@ -252,8 +323,12 @@ def test_transpose_preserves_conjugacy_classes(kind, n, q):
     assert transpose_preserves_classes(g, classes)
 
 
-def test_one_walk_over_the_class_rows_per_table(monkeypatch):
-    g, classes = build("gl", 2, 3)
+# one walk per separator: GL2(F3) needs s = 3 after s = 2 collides
+@pytest.mark.parametrize("kind,n,q,separators", [("gl", 3, 2, 1),
+                                                 ("gl", 2, 3, 2)])
+def test_one_walk_over_the_class_rows_per_separator(monkeypatch, kind, n, q,
+                                                    separators):
+    g, classes = build(kind, n, q)
     walks = []
     right_rows = g.right_rows
 
@@ -263,7 +338,7 @@ def test_one_walk_over_the_class_rows_per_table(monkeypatch):
 
     monkeypatch.setattr(g, "right_rows", counted)
     character_table(g, classes)
-    assert walks == [classes.reps]
+    assert walks == [classes.reps] * separators
 
 
 # ---------------------------------------------------------
@@ -275,10 +350,11 @@ def test_one_walk_over_the_class_rows_per_table(monkeypatch):
 def test_every_vector_is_a_common_eigenvector(kind, n, q):
     g, classes = build(kind, n, q)
     l = character_table(g, classes).l
-    _, a = _class_algebra(g, classes)
+    a = reference_tensor(g, classes)
     e_cls = classes.class_of[g.identity_id]
-    w = _split_eigenspaces(a, l, e_cls)
     k = classes.count
+    w = _split_eigenspaces(lambda s: _separator(g, classes, l, s), k, l,
+                           _smallest_primitive_root(l), e_cls)
     assert w.shape == (k, k)
     assert np.all(w[e_cls] == 1)
     assert len({tuple(col) for col in w.T.tolist()}) == k
@@ -299,6 +375,17 @@ def test_a_colliding_first_separator_gives_the_same_table(monkeypatch):
         (t.l, t.degrees, t.values)
 
 
+def test_a_modulus_past_exact_integer_sums_is_refused(monkeypatch):
+    g, classes = build("gl", 2, 3)
+    walks = []
+    monkeypatch.setattr(g, "right_rows", lambda ids: walks.append(ids))
+    monkeypatch.setattr(chartab, "choose_modulus",
+                        lambda order, exponent: 2 ** 61 - 1)  # a prime
+    with pytest.raises(CapExceededError, match="overflows exact"):
+        character_table(g, classes)
+    assert walks == []  # refused before the walk
+
+
 def test_no_separating_element_raises(monkeypatch):
     g, classes = build("gl", 2, 3)
     monkeypatch.setattr(chartab, "_separator_bases", lambda k: (1,) * 32)
@@ -307,34 +394,91 @@ def test_no_separating_element_raises(monkeypatch):
         character_table(g, classes)
 
 
-def test_a_corrupted_structure_constant_never_gives_a_table(monkeypatch):
+def corrupt_separators(monkeypatch, cell):
+    """Every walked separator N_s gets +1 at ``cell``."""
+    separator = chartab._separator
+
+    def corrupted(*args, **kwargs):
+        n_s = separator(*args, **kwargs)
+        n_s[cell] += 1
+        return n_s
+
+    monkeypatch.setattr(chartab, "_separator", corrupted)
+
+
+def test_a_corrupted_separator_never_gives_a_table(monkeypatch):
     g, classes = build("gl", 2, 3)
-    class_algebra = chartab._class_algebra
-
-    def corrupted(g, classes):
-        orders, a = class_algebra(g, classes)
-        a[1, 2, 3] += 1
-        return orders, a
-
-    monkeypatch.setattr(chartab, "_class_algebra", corrupted)
+    corrupt_separators(monkeypatch, (2, 3))
     with pytest.raises(InternalCheckError):
         character_table(g, classes)
 
 
 def test_every_single_corruption_of_gl2_f2_raises(monkeypatch):
-    # the 27 corruptions reach the root count, the Krylov size, the
-    # identity entry and the degree lift
+    # s = 2 separates GL2(F2)'s three classes, so N_2 is its one separator;
+    # its 9 corruptions reach the root count, the identity entry and the
+    # degree lift
     g, classes = build("gl", 2, 2)
-    class_algebra = chartab._class_algebra
-    for idx in np.ndindex((classes.count,) * 3):
-        def corrupted(g, classes, idx=idx):
-            orders, a = class_algebra(g, classes)
-            a[idx] += 1
-            return orders, a
-
-        monkeypatch.setattr(chartab, "_class_algebra", corrupted)
+    for cell in np.ndindex((classes.count,) * 2):
+        corrupt_separators(monkeypatch, cell)
         with pytest.raises(InternalCheckError):
             character_table(g, classes)
+        monkeypatch.undo()
+
+
+def test_inverses_that_disagree_with_the_inverse_classes_raise():
+    # GL1(F5): 2 and 3 are inverses in one-element classes; the weights
+    # follow the element inverses, the identity column the inverse classes
+    g, classes = build("gl", 1, 5)
+    g._inverse_ids = np.arange(g.order, dtype=np.int32)  # u^-1 = u
+    with pytest.raises(InternalCheckError, match="inverse-class identity"):
+        _separator(g, classes, 13, 2)
+
+
+def test_rref_matches_a_reduce_every_step_reference():
+    rng = np.random.default_rng(5)
+    l = 97
+    for shape in [(6, 7), (8, 5), (5, 9)]:
+        mat = rng.integers(0, l, shape)
+        mat[:, 2] = mat[:, 0] * 3 % l  # force a non-pivot column
+        ref = mat % l
+        pivots, r = [], 0
+        for c in range(shape[1]):
+            nz = [i for i in range(r, shape[0]) if ref[i, c]]
+            if r == shape[0] or not nz:
+                continue
+            ref[[r, nz[0]]] = ref[[nz[0], r]]
+            ref[r] = ref[r] * pow(int(ref[r, c]), -1, l) % l
+            for i in range(shape[0]):
+                if i != r:
+                    ref[i] = (ref[i] - ref[i, c] * ref[r]) % l
+            pivots.append(c)
+            r += 1
+        red, got = _rref(mat, l)
+        assert got == pivots and np.array_equal(red, ref)
+
+
+@pytest.mark.parametrize("l", [5, 13, 97, 193, 3457])
+def test_poly_roots_equal_the_full_scan(l):
+    rng = np.random.default_rng(l)
+    g = _smallest_primitive_root(l)
+    for trial in range(20):
+        degree = int(rng.integers(0, min(l, 12)))
+        roots = rng.choice(l, degree, replace=False).tolist()
+        if trial % 4 == 0 and 0 not in roots and degree:
+            roots[0] = 0
+        poly = [1]  # coefficients, constant first, of prod (x - r)
+        for r in roots:
+            poly = [(lo - r * hi) % l
+                    for lo, hi in zip([0] + poly, poly + [0])]
+        if trial % 5 == 0:  # an irreducible quadratic factor: no new roots
+            nonsquare = next(c for c in range(2, l)
+                             if pow(c, (l - 1) // 2, l) == l - 1)
+            poly = [(lo - nonsquare * hi) % l for lo, hi
+                    in zip([0, 0] + poly, poly + [0, 0])]
+        coeffs = np.array(poly, dtype=np.int64)
+        scan = [x for x in range(l)
+                if sum(c * pow(x, j, l) for j, c in enumerate(poly)) % l == 0]
+        assert _poly_roots(coeffs, l, g).tolist() == scan == sorted(roots)
 
 
 # ---------------------------------------------------------

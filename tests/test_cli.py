@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -139,6 +140,16 @@ def test_cli_group_order_and_dump(tmp_path, capsys):
     lines = dump.read_text().splitlines()
     assert len(lines) == 6
     assert lines[0] == "0,1;1,0"  # lexicographically least invertible
+
+
+def test_cli_group_order_past_int64_codes_exits_2_at_once(capsys):
+    # the guard trips on n^2 >= 63 without computing 3^(10^10)
+    t0 = time.perf_counter()
+    assert main(["group", "order", "--type", "gl", "--n", "100000",
+                 "--q", "3"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "100000x100000 matrices over F_3 overflow int64" in \
+        capsys.readouterr().err
 
 
 def test_cli_cosets_json(capsys):

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from gelfand.errors import CapExceededError, DomainError
-from gelfand.field import build_field, field_from_q, is_prime
+from gelfand.field import Fq, build_field, field_from_q, is_prime
 
 ALL_PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25]
 
@@ -66,6 +68,16 @@ def test_size_cap():
     with pytest.raises(CapExceededError):
         build_field(2 ** 31 - 1, 1)
     assert build_field(5, 2).q == 25  # boundary fits
+
+
+def test_a_huge_extension_degree_is_refused_before_the_power():
+    # 3^(10^6) has 477,122 digits; the cap trips on e alone
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceededError, match=r"3\^1000000"):
+        Fq(3, 10 ** 6)
+    assert time.perf_counter() - t0 < 0.05
+    with pytest.raises(CapExceededError, match="q = 27 "):
+        Fq(3, 3)  # below the e shortcut, the power itself is compared
 
 
 def test_field_from_q_rejects_non_prime_powers():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from gelfand import groups
-from gelfand.chartab import _class_algebra, conjugacy_classes, element_order
+from gelfand.chartab import (_block_orders, character_table,
+                             conjugacy_classes, element_order, power_orders)
 from gelfand.errors import CapExceededError, InternalCheckError
 from gelfand.field import field_from_q
 from gelfand.groups import GroupTable, enumerate_gl, enumerate_o, orbits
@@ -111,8 +112,10 @@ def test_exponent_is_the_lcm_of_brute_force_orders(group):
     g = group
     classes = conjugacy_classes(g)
     brute = [element_order(g, r) for r in classes.reps]
-    orders, _ = _class_algebra(g, classes)
-    assert orders == brute
+    orders = power_orders(g, classes.reps)
+    walked = [o for rows in g.right_rows(classes.reps)
+              for o in _block_orders(g, rows)]
+    assert orders == walked == brute
     assert math.lcm(*orders) == math.lcm(*brute)
 
 
@@ -127,7 +130,7 @@ def test_corrupted_tree_fails_the_structure_constant_cross_check(
     monkeypatch.setattr(g, "schreier_tree", tree)
     with pytest.raises(InternalCheckError,
                        match="class rep .* differs from its batched product"):
-        _class_algebra(g, classes)
+        character_table(g, classes)
 
 
 CLOSURE_GROUPS = KERNEL_GROUPS | {"GL4(F2)": (enumerate_gl, 4, 2)}
