@@ -65,7 +65,6 @@ from .groups import Embedding, GroupTable, encode, orbits
 # every module that loops over a group, so the import stays.
 from .matrix import format_matrix, mul_batch, mul_flat  # noqa: F401
 
-PRIME_SEARCH_BOUND = 10 ** 7
 CACHE_SCHEMA = "gelfand-chartab/1"
 
 
@@ -160,13 +159,11 @@ def _block_orders(g: GroupTable, rows: np.ndarray) -> list[int]:
 # -- the modulus l and roots of unity ------------------------------------------
 
 def choose_modulus(order: int, exponent: int) -> int:
-    """Smallest prime l = 1 (mod exponent) with l > 2|G|."""
+    """Smallest prime l = 1 (mod exponent) with l > 2|G|; by Dirichlet's
+    theorem one exists, and ``character_table`` bounds it by exactness."""
     t = (2 * order - 1) // exponent + 1
     while True:
         l = exponent * t + 1
-        if l > PRIME_SEARCH_BOUND:
-            raise DomainError(f"no usable prime below {PRIME_SEARCH_BOUND} "
-                              f"for exponent {exponent}")
         if l > 2 * order and is_prime(l):
             return l
         t += 1
@@ -388,20 +385,25 @@ def _separator(g: GroupTable, classes: ConjClasses, l: int, s: int,
     return n_s
 
 
+def _sums_exact(order: int, k: int, l: int) -> bool:
+    """A separator sums |G| float64 weights below l, and every int64
+    product mod l sums at most k + 1 terms below l^2."""
+    return order * (l - 1) < 2 ** 53 and (k + 1) * l * l < 2 ** 63
+
+
 def _verify_orthogonality(t: CharacterTable):
+    """Both relations mod l in int64: each product sums k terms below l^2,
+    exact under ``_sums_exact``."""
     l = t.l
     k = t.count
     order = t.group.order
-    # int64 is plenty for every group under the default caps; degrade to
-    # exact object arithmetic if a huge modulus would overflow the matmul
-    dtype = np.int64 if l * l * max(t.classes.sizes) * k < 2 ** 62 else object
-    v = np.array(t.values, dtype=dtype)
-    sizes = np.array(t.classes.sizes, dtype=dtype)
+    v = np.array(t.values, dtype=np.int64)
+    sizes = np.array(t.classes.sizes, dtype=np.int64)
     inv = t.classes.inverse_class
-    rows = ((v * sizes) @ v[:, inv].T) % l
+    rows = ((v * sizes % l) @ v[:, inv].T) % l
     if not np.array_equal(rows, (order % l) * np.eye(k, dtype=np.int64) % l):
         raise InternalCheckError("row orthogonality fails mod l")
-    cols = (v.T @ v[:, inv]) % l
+    cols = (np.ascontiguousarray(v.T) @ v[:, inv]) % l
     expected = np.zeros((k, k), dtype=np.int64)
     for i in range(k):
         expected[i, i] = order * pow(int(sizes[i]), -1, l) % l
@@ -427,9 +429,7 @@ def character_table(g: GroupTable, classes: ConjClasses,
     orders = power_orders(g, classes.reps)
     exponent = math.lcm(*orders)
     l = choose_modulus(order, exponent)
-    # exact arithmetic: a separator sums |G| float64 weights below l, and
-    # every int64 product mod l sums at most k + 1 terms below l^2
-    if order * (l - 1) >= 2 ** 53 or (k + 1) * l * l >= 2 ** 63:
+    if not _sums_exact(order, k, l):
         raise CapExceededError(f"|G| = {order} with k = {k} classes mod "
                                f"l = {l} overflows exact class-algebra sums")
     primitive = _smallest_primitive_root(l)
@@ -520,9 +520,9 @@ def _residues(x, length: int, l: int) -> bool:
 def load_character_table(g: GroupTable, classes: ConjClasses,
                          cache_dir: str | Path) -> CharacterTable | None:
     """The cached table, or None (recompute) when the file is missing, does
-    not parse, has another schema or class data, or lacks a key or has one
-    of the wrong shape.  A well-formed table that fails orthogonality
-    raises."""
+    not parse, has another schema or class data, lacks a key or has one of
+    the wrong shape, or has an l past the exact-sum bounds.  A well-formed
+    table that fails orthogonality raises."""
     path = cache_path(cache_dir, g.kind, g.n, g.field.q)
     if not path.is_file():
         return None
@@ -540,6 +540,7 @@ def load_character_table(g: GroupTable, classes: ConjClasses,
     l, root = payload.get("l"), payload.get("root")
     degrees, values = payload.get("degrees"), payload.get("values")
     if not (isinstance(l, int) and l > 2 * g.order
+            and _sums_exact(g.order, k, l)
             and _residues([root], 1, l) and _residues(degrees, k, l)
             and isinstance(values, list) and len(values) == k
             and all(_residues(row, k, l) for row in values)):

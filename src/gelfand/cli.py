@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_field = sub.add_parser("field", help="finite field utilities")
     field_sub = p_field.add_subparsers(dest="subcommand", required=True)
-    p_info = field_sub.add_parser("info", parents=[common],
+    p_info = field_sub.add_parser("info",
                                   help="print p, e, modulus, generator")
     p_info.add_argument("--q", type=int, required=True)
     p_info.add_argument("--json", action="store_true")
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cosets.add_argument("--json", action="store_true")
     p_cosets.set_defaults(func=cmd_cosets)
 
-    p_solve = sub.add_parser("solve-symmetric", parents=[common],
+    p_solve = sub.add_parser("solve-symmetric",
                              help="symmetric invertible B with B*phi = v")
     p_solve.add_argument("--q", type=int, required=True)
     p_solve.add_argument("--phi", required=True)
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=cmd_solve_symmetric)
 
-    p_swap = sub.add_parser("swap-reflection", parents=[common],
+    p_swap = sub.add_parser("swap-reflection",
                             help="orthogonal g with gu = v, gv = u")
     p_swap.add_argument("--q", type=int, required=True)
     p_swap.add_argument("--u", required=True)

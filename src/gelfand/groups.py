@@ -437,6 +437,12 @@ def _inner(a: np.ndarray, b: np.ndarray, field: Fq) -> np.ndarray:
     return out
 
 
+def unit_vectors(n: int, field: Fq) -> np.ndarray:
+    """The x in F_q^n with <x, x> = 1, as uint8 rows in code order."""
+    vectors = decode(np.arange(field.q ** n), n, field.q)
+    return vectors[_inner(vectors, vectors, field) == 1]
+
+
 def _reflection_entries(field: Fq, ws: np.ndarray) -> np.ndarray:
     """Hyperplane reflections x -> x - 2(<w,x>/<w,w>)w of the non-isotropic
     rows w of ws, as uint8 rows of n^2 entries: I + (-2/<w,w>) w^T w."""
@@ -468,9 +474,7 @@ def enumerate_o(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
     expected = o_order(n, field)
     if expected > cap:
         raise CapExceededError(f"|O_{n}(F_{q})| = {expected} exceeds cap {cap}")
-    vectors = decode(np.arange(q ** n), n, q)
-    norms = _inner(vectors, vectors, field)
-    units = vectors[norms == 1]
+    units = unit_vectors(n, field)
     orthogonal = _inner(units[:, None], units[None], field) == 0
     prefixes = np.zeros((1, 0), dtype=np.uint8)
     allowed = np.ones((1, len(units)), dtype=bool)

@@ -1,26 +1,30 @@
 """Unit sphere over GF(q)^n and orthogonal swaps of unit-vector pairs.
 
-The sphere is the solution set of <x, x> = 1 for the dot product.  For
-unit vectors u, v the swap element is a reflection chosen by whether u - v
-is isotropic:
+The sphere is the solution set of <x, x> = 1 for the dot product, read off
+the q^n vectors in code order by the same helper that gives ``enumerate_o``
+its rows (``groups.unit_vectors``).  For unit vectors u, v the swap element
+is a hyperplane reflection (``groups._reflection_entries``), chosen by
+whether u - v is isotropic:
 
-  <u-v, u-v> != 0:  g(x) = x - 2 (<u-v, x> / <u-v, u-v>) (u - v)
-  <u-v, u-v>  = 0:  then <u+v, u+v> = 4, and
-                    g(x) = (<u+v, x> / 2) (u + v) - x
+  <u-v, u-v> != 0:  the reflection along u - v,
+                    g(x) = x - 2 (<u-v, x> / <u-v, u-v>) (u - v)
+  <u-v, u-v>  = 0:  then <u+v, u+v> = 4, and g is minus the reflection
+                    along u + v, g(x) = (<u+v, x> / 2) (u + v) - x
 
-Both formulas need division by 2, so characteristic 2 is rejected.  The
-degenerate input u = v lands in the second branch and fixes u.  The matrix
-returned has columns equal to the images of the basis vectors, which makes
-g^T g = I directly checkable.
+Both need division by 2, so characteristic 2 is rejected.  The degenerate
+input u = v lands in the second branch and fixes u.  Reflections are
+symmetric, so the returned matrix's columns are the images of the basis
+vectors and g^T g = I is directly checkable.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import numpy as np
 
 from .errors import CapExceededError, DomainError
 from .field import Fq
-from .matrix import MatFq, vec_add, vec_dot, vec_sub
+from .groups import _inner, _reflection_entries, unit_vectors
+from .matrix import MatFq
 
 SPHERE_ENUM_CAP = 10 ** 7
 
@@ -29,34 +33,24 @@ def sphere_points(n: int, field: Fq) -> list[tuple]:
     """All x in F_q^n with <x, x> = 1, in ascending lexicographic order."""
     if field.q ** n > SPHERE_ENUM_CAP:
         raise CapExceededError(f"q^n = {field.q ** n} exceeds sphere cap")
-    return [x for x in product(range(field.q), repeat=n)
-            if vec_dot(field, x, x) == 1]
+    return [tuple(x) for x in unit_vectors(n, field).tolist()]
 
 
 def swap_element(field: Fq, u: tuple, v: tuple) -> MatFq:
     """Orthogonal g with g u = v and g v = u, for unit vectors u, v; q odd."""
     if field.p == 2:
         raise DomainError("swap reflections need odd characteristic")
-    u = tuple(u)
-    v = tuple(v)
-    n = len(u)
-    if len(v) != n:
+    if len(u) != len(v):
         raise DomainError("u and v must have the same length")
-    if vec_dot(field, u, u) != 1 or vec_dot(field, v, v) != 1:
+    uv = np.array([u, v], dtype=np.uint8)
+    if np.any(_inner(uv, uv, field) != 1):
         raise DomainError("u and v must be unit vectors")
-
-    two = field.add(1, 1)
-    d = vec_sub(field, u, v)
-    norm = vec_dot(field, d, d)
-    if norm != 0:
-        coef = field.div(two, norm)
-        entries = [field.sub(1 if i == j else 0,
-                             field.mul(coef, field.mul(d[i], d[j])))
-                   for i in range(n) for j in range(n)]
+    add, mul = field.arrays()
+    minus = mul[field.neg(1)]
+    d = add[uv[0], minus[uv[1]]]
+    if _inner(d, d, field):
+        g = _reflection_entries(field, d[None])[0]
     else:
-        s = vec_add(field, u, v)
-        half = field.inv(two)
-        entries = [field.sub(field.mul(half, field.mul(s[i], s[j])),
-                             1 if i == j else 0)
-                   for i in range(n) for j in range(n)]
-    return MatFq(field, n, n, entries)
+        g = minus[_reflection_entries(field, add[uv[0], uv[1]][None])[0]]
+    n = len(u)
+    return MatFq(field, n, n, g.tolist())

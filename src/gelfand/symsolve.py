@@ -24,20 +24,26 @@ and aborts with a counterexample report instead of falling back silently.
 Every returned matrix is re-checked for symmetry, invertibility and
 B*phi = v before it leaves this module.
 
-The brute-force oracle enumerates all symmetric matrices in canonical
-order (upper-triangle entries, row-major, least index first) and returns
-the first invertible solution; it shares nothing with the solver path.
+The brute-force oracle returns the first invertible solution in canonical
+order (upper-triangle entries, row-major, least index first), for every
+field and size under ORACLE_SEARCH_CAP by one path.  The symmetric matrices
+are decoded from their upper-triangle codes as one uint8 batch and kept
+when one batched fraction-free elimination through the field's add and mul
+tables reaches rank n; that stock is built once per (field, n).  A call
+then forms B*phi for the whole stock, column by column through the same
+tables, and takes the first B whose image is v.  The oracle shares nothing
+with the solver path: no ``_eliminate``, ``MatFq.det`` or ``inverse_flat``.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import product
 
 import numpy as np
 
 from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import Fq
+from .groups import decode
 from .matrix import MatFq, inverse_flat, mat_vec
 
 ORACLE_SEARCH_CAP = 15_625
@@ -124,43 +130,44 @@ def solve_symmetric(field: Fq, phi: tuple, v: tuple) -> MatFq:
 
 # -- independent exhaustive oracle ---------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _symmetric_stock(field: Fq, n: int):
-    """All symmetric n x n matrices in canonical order, with their dets.
+def _full_rank(mats: np.ndarray, field: Fq) -> np.ndarray:
+    """Indices of the matrices of a (count, n, n) uint8 batch that have rank
+    n, by one batched elimination through the field's add and mul tables.
+    Each step takes the first row with a nonzero leading entry as the pivot
+    row and replaces every other row by pivot*row - entry*pivot_row, which
+    needs no inverse; the pivot row and the leading column then drop out.
+    A matrix leaves the batch at its first step with no pivot."""
+    add, mul = field.arrays()
+    minus = mul[field.neg(1)]
+    kept = np.arange(len(mats))
+    work = mats
+    for _ in range(mats.shape[1]):
+        nonzero = work[:, :, 0] != 0
+        has = nonzero.any(1)
+        kept, work, nonzero = kept[has], work[has], nonzero[has]
+        at = np.arange(len(work)), nonzero.argmax(1)
+        pivot_row = work[at]
+        work[at] = work[:, 0]  # the other rows are now work[:, 1:]
+        rest = work[:, 1:]
+        work = add[mul[pivot_row[:, None, :1], rest[:, :, 1:]],
+                   mul[minus[rest[:, :, :1]], pivot_row[:, None, 1:]]]
+    return kept
 
-    For prime fields the stack and determinants are precomputed as numpy
-    arrays so the per-instance scan is a few vector operations.
-    """
-    q = field.q
-    tri = n * (n + 1) // 2
-    flats = []
-    for upper in product(range(q), repeat=tri):
-        it = iter(upper)
-        m = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                m[i][j] = m[j][i] = next(it)
-        flats.append(tuple(x for row in m for x in row))
-    if field.e == 1:
-        mats = np.array(flats, dtype=np.int64).reshape(len(flats), n, n)
-        if n == 1:
-            dets = mats[:, 0, 0] % q
-        elif n == 2:
-            dets = (mats[:, 0, 0] * mats[:, 1, 1]
-                    - mats[:, 0, 1] * mats[:, 1, 0]) % q
-        elif n == 3:
-            a = mats
-            dets = (a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
-                    - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
-                    + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
-                    ) % q
-        else:
-            dets = np.array([MatFq(field, n, n, fl).det() for fl in flats],
-                            dtype=np.int64)
-        return flats, mats, dets
-    dets = np.array([MatFq(field, n, n, fl).det() for fl in flats],
-                    dtype=np.int64)
-    return flats, None, dets
+
+@functools.lru_cache(maxsize=None)
+def _symmetric_stock(field: Fq, n: int) -> np.ndarray:
+    """The invertible symmetric n x n matrices in canonical order, as a
+    (count, n, n) uint8 array: the upper triangles, row-major, are the
+    base-q digits of 0, 1, ..., q^(n(n+1)/2) - 1."""
+    q, tri = field.q, n * (n + 1) // 2
+    upper = decode(np.arange(q ** tri), tri, q)
+    rows, cols = np.triu_indices(n)
+    mats = np.empty((len(upper), n, n), dtype=np.uint8)
+    mats[:, rows, cols] = upper
+    mats[:, cols, rows] = upper
+    stock = mats[_full_rank(mats, field)]
+    stock.flags.writeable = False  # the cache hands it to every call
+    return stock
 
 
 def oracle_symmetric(field: Fq, phi: tuple, v: tuple) -> MatFq | None:
@@ -175,17 +182,12 @@ def oracle_symmetric(field: Fq, phi: tuple, v: tuple) -> MatFq | None:
     if field.q ** (n * (n + 1) // 2) > ORACLE_SEARCH_CAP:
         raise CapExceededError(
             f"oracle search space q^(n(n+1)/2) exceeds {ORACLE_SEARCH_CAP}")
-    flats, mats, dets = _symmetric_stock(field, n)
-    if mats is not None:
-        prod_ok = (mats @ np.array(phi, dtype=np.int64)) % field.q
-        hits = np.nonzero((prod_ok == np.array(v)).all(axis=1) & (dets != 0))[0]
-        if hits.size == 0:
-            return None
-        return MatFq(field, n, n, flats[int(hits[0])])
-    for fl, det in zip(flats, dets):
-        if det == 0:
-            continue
-        m = MatFq(field, n, n, fl)
-        if mat_vec(m, phi) == v:
-            return m
-    return None
+    stock = _symmetric_stock(field, n)
+    add, mul = field.arrays()
+    image = mul[phi[0]].take(stock[:, :, 0])
+    for j in range(1, n):
+        image = add[image, mul[phi[j]].take(stock[:, :, j])]
+    hits = (image == np.array(v, dtype=np.uint8)).all(1)
+    if not hits.any():
+        return None
+    return MatFq(field, n, n, stock[hits.argmax()].ravel().tolist())

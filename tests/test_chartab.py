@@ -136,6 +136,12 @@ def test_choose_modulus_examples():
     assert choose_modulus(2, 2) == 5
 
 
+def test_choose_modulus_has_no_search_bound():
+    # GL5(F2): order 9,999,360, exponent 26,040; the exactness bounds that
+    # character_table checks are the only limits on l
+    assert choose_modulus(9_999_360, 26_040) == 19_998_721
+
+
 # ---------------------------------------------------------
 # character tables
 # ---------------------------------------------------------
@@ -642,8 +648,9 @@ def test_corrupt_cache_values_fail_orthogonality(tmp_path):
     lambda p: p["values"][2].pop(),
     lambda p: p["values"][0].__setitem__(0, p["l"]),
     lambda p: p.update(l=5),
+    lambda p: p.update(l=2 ** 31 - 1),
 ], ids=["no-l", "no-values", "root-not-int", "short-degrees", "short-row",
-        "value-not-below-l", "l-too-small"])
+        "value-not-below-l", "l-too-small", "l-past-exact-sums"])
 def test_a_cache_with_missing_keys_or_wrong_shapes_is_a_miss(tmp_path,
                                                              corrupt):
     import json

@@ -384,6 +384,11 @@ def test_sweep_domain_and_cap_errors_exit_1(tmp_path, capsys):
     ["group", "order", "--type", "gl", "--n", "2", "--q", "2",
      "--cache-dir", "x"],
     ["verify", "--kind", "gl", "--n", "1", "--q", "2", "--threads", "2"],
+    ["field", "info", "--q", "4", "--cap-group-order", "10"],
+    ["solve-symmetric", "--q", "3", "--phi", "1,0", "--v", "0,1",
+     "--cap-group-order", "10"],
+    ["swap-reflection", "--q", "5", "--u", "1,0", "--v", "0,1",
+     "--cap-group-order", "10"],
 ])
 def test_flags_only_where_they_act(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,10 @@
+import random
+from itertools import product
+
 import pytest
 
 from gelfand.errors import DomainError
-from gelfand.field import build_field
+from gelfand.field import build_field, field_from_q
 from gelfand.groups import enumerate_o
 from gelfand.matrix import MatFq, mat_vec, vec_dot, vec_sub
 from gelfand.reflections import sphere_points, swap_element
@@ -73,6 +76,18 @@ def test_swap_exhaustive_small_grids(n, q):
     for u in pts:
         for v in pts:
             check_swap(field, u, v)
+
+
+@pytest.mark.parametrize("n,q", [(2, 9), (3, 9), (2, 25)])
+def test_sphere_and_swaps_over_extension_fields(n, q):
+    field = field_from_q(q)
+    brute = [x for x in product(range(q), repeat=n)
+             if vec_dot(field, x, x) == 1]
+    pts = sphere_points(n, field)
+    assert pts == brute
+    pairs = [(u, v) for u in pts for v in pts]
+    for u, v in random.Random(q * 10 + n).sample(pairs, min(len(pairs), 300)):
+        check_swap(field, u, v)
 
 
 def test_swap_rejects_characteristic_two(f2, f4):

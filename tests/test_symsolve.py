@@ -1,11 +1,19 @@
+import functools
+import random
 from itertools import product
 
 import pytest
 
 from gelfand.errors import CapExceededError, DomainError
-from gelfand.field import build_field
-from gelfand.matrix import mat_vec
-from gelfand.symsolve import oracle_symmetric, solve_symmetric
+from gelfand.field import build_field, field_from_q
+from gelfand.matrix import MatFq, mat_vec
+from gelfand.symsolve import (ORACLE_SEARCH_CAP, _symmetric_stock,
+                              oracle_symmetric, solve_symmetric)
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)
+# every (q, n) whose oracle search space is under the cap
+ORACLE_GRID = [(q, n) for q in PRIME_POWERS for n in range(1, 5)
+               if q ** (n * (n + 1) // 2) <= ORACLE_SEARCH_CAP]
 
 
 def nonzero_vectors(field, n):
@@ -135,3 +143,52 @@ def test_swap_inverse_duality(f3):
             binv = b.inverse()
             assert binv.is_symmetric()
             assert mat_vec(binv, v) == phi
+
+
+# ---------------------------------------------------------
+# the batched oracle against a scalar reference
+# ---------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def reference_stock(q, n):
+    """The invertible symmetric matrices in canonical order, one MatFq.det
+    at a time."""
+    field = field_from_q(q)
+    stock = []
+    for upper in product(range(q), repeat=n * (n + 1) // 2):
+        it = iter(upper)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = next(it)
+        b = MatFq.from_rows(field, m)
+        if b.det() != 0:
+            stock.append(b)
+    return stock
+
+
+@pytest.mark.parametrize("q,n", ORACLE_GRID)
+def test_oracle_matches_a_scalar_reference(q, n):
+    field = field_from_q(q)
+    vecs = nonzero_vectors(field, n)
+    rng = random.Random(q * 10 + n)
+    for _ in range(8):
+        phi, v = rng.choice(vecs), rng.choice(vecs)
+        expected = next(b for b in reference_stock(q, n)
+                        if mat_vec(b, phi) == v)
+        assert oracle_symmetric(field, phi, v) == expected
+
+
+@pytest.mark.parametrize("q,n", ORACLE_GRID)
+def test_stock_size_is_the_closed_form(q, n):
+    # q^(m(m+1)) prod_{i=1}^{ceil(n/2)} (q^(2i-1) - 1), m = floor(n/2)
+    m = n // 2
+    expected = q ** (m * (m + 1))
+    for i in range(1, (n + 1) // 2 + 1):
+        expected *= q ** (2 * i - 1) - 1
+    assert len(_symmetric_stock(field_from_q(q), n)) == expected
+
+
+def test_the_stock_equals_the_reference_in_canonical_order(f5):
+    assert [MatFq(f5, 2, 2, b.ravel().tolist())
+            for b in _symmetric_stock(f5, 2)] == reference_stock(5, 2)
