@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import is_prime
-from .groups import Embedding, GroupTable, encode, orbits
+from .groups import Embedding, GroupTable, encode, number_orbits, orbits
 # perfbench/tracing.py counts group-element products through this name in
 # every module that loops over a group, so the import stays.
 from .matrix import format_matrix, mul_batch, mul_flat  # noqa: F401
@@ -85,8 +85,8 @@ class ConjClasses:
 def conjugacy_classes(g: GroupTable) -> ConjClasses:
     """Orbits of conjugation by a generating set; ids by minimal element."""
     inv = g.inverse_ids
-    reps, class_of, sizes = np.unique(orbits(g.conjugation_perms(), g.order),
-                                      return_inverse=True, return_counts=True)
+    reps, class_of = number_orbits(orbits(g.conjugation_perms(), g.order))
+    sizes = np.bincount(class_of)
     if sizes.sum() != g.order:
         raise InternalCheckError("conjugacy classes do not partition the group")
     if sizes[class_of[g.identity_id]] != 1:
@@ -356,7 +356,7 @@ def _separator(g: GroupTable, classes: ConjClasses, l: int, s: int,
     k = classes.count
     class_of = classes.class_of
     power = np.array([pow(s, i, l) for i in range(k)])  # s^i mod l
-    w = power.astype(np.float64)[class_of[g.inverse_ids]]
+    w = power.astype(np.float64)[class_of.take(g.inverse_ids)]
     n_s = np.empty((k, k), dtype=np.int64)
     m = 0
     for rows in g.right_rows(classes.reps):
@@ -374,7 +374,8 @@ def _separator(g: GroupTable, classes: ConjClasses, l: int, s: int,
                         f"class rep {rep} has order {orders[i]} by powers "
                         f"but {o} along its right row")
         for row in rows:
-            n_s[:, m] = np.bincount(class_of[row], weights=w, minlength=k) % l
+            n_s[:, m] = np.bincount(class_of.take(row), weights=w,
+                                    minlength=k) % l
             m += 1
     # orientation sanity: x y = identity forces y = x^-1, so the identity
     # column holds h_j s^(inverse class of j)
@@ -400,7 +401,9 @@ def _verify_orthogonality(t: CharacterTable):
     v = np.array(t.values, dtype=np.int64)
     sizes = np.array(t.classes.sizes, dtype=np.int64)
     inv = t.classes.inverse_class
-    rows = ((v * sizes % l) @ v[:, inv].T) % l
+    # both operands read along rows: numpy's integer matmul is slow on the
+    # transposed (F-ordered) operand of the plain row product
+    rows = (v[:, inv] @ (v * sizes % l).T).T % l
     if not np.array_equal(rows, (order % l) * np.eye(k, dtype=np.int64) % l):
         raise InternalCheckError("row orthogonality fails mod l")
     cols = (np.ascontiguousarray(v.T) @ v[:, inv]) % l

@@ -23,7 +23,8 @@ from .errors import DomainError, InternalCheckError
 from .field import field_from_q
 from .groups import DEFAULT_GROUP_CAP, embed_standard
 from .matrix import MatFq, format_matrix, mat_vec, parse_vector
-from .pipeline import default_points, enumerate_group, run_sweep, run_verify
+from .pipeline import (check_table_fits, default_points, enumerate_group,
+                       run_sweep, run_verify)
 from .reflections import swap_element
 from .symsolve import solve_symmetric
 from . import __version__
@@ -139,8 +140,9 @@ def cmd_swap_reflection(args) -> int:
 
 
 def cmd_chartab(args) -> int:
-    table = enumerate_group(args.type, args.n, field_from_q(args.q),
-                            args.cap_group_order)
+    field = field_from_q(args.q)
+    check_table_fits(args.type, args.n, field)
+    table = enumerate_group(args.type, args.n, field, args.cap_group_order)
     classes = conjugacy_classes(table)
     t = character_table(table, classes, cache_dir=args.cache_dir)
     payload = {

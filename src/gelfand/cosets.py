@@ -1,13 +1,22 @@
 """Double-coset decompositions H\\G/K and the transpose action on them.
 
-K is the embedded subgroup itself, or the subgroup it generates together
-with the center of G ("mod center").  Each generator of H acts on G by left
-multiplication and each generator of K by right multiplication; their id
-permutations come from ``GroupTable.id_perm``, which computes each one once
-per group, so the plain and mod-center decompositions share them, and
+K is the embedded subgroup itself, or the subgroup HZ it generates
+together with the center Z of G ("mod center").  For the plain
+decomposition each generator of H acts on G by left and by right
+multiplication; their id permutations come from ``GroupTable.id_perm``, and
 ``groups.orbits`` labels their orbits, the double cosets, by their minimal
-element ids.  Coset ids follow those representatives in
-ascending order, so they are canonical for a fixed element order.
+element ids.  Coset ids follow those representatives in ascending order, so
+they are canonical for a fixed element order.
+
+The mod-center decomposition is built from the plain one.  H x HZ is the
+union of the plain cosets H z x H over z in Z, and Z is central, so it only
+permutes the plain cosets.  Z is cyclic on every pair here (the scalars for
+GL, +-I for O), so one generator z is enough: it acts on the plain cosets
+as c -> coset_of[z rep_c], which is checked on every element, and the
+mod-center cosets are the orbits of that permutation on the plain coset
+ids.  A trivial center leaves the plain cosets as they are.  Each plain
+representative is its coset's minimal id, so an orbit's minimal coset id
+carries the minimal id of the union: the representatives stay minimal.
 
 The transpose map g -> g^T is an anti-involution; it permutes double cosets
 whenever both subgroups are transpose-stable, which holds for the standard
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalCheckError
-from .groups import Embedding, GroupTable, orbits
+from .groups import Embedding, GroupTable, number_orbits, orbits
 # perfbench/tracing.py counts group-element products through this name in
 # every module that loops over a group, so the import stays.
 from .matrix import mul_flat  # noqa: F401
@@ -56,19 +65,71 @@ class InvolutionAction:
         return [c for c, t in enumerate(self.perm) if t != c]
 
 
-def double_cosets(g: GroupTable, emb: Embedding,
-                  mod_center: bool = False) -> DoubleCosetDecomposition:
-    """Partition g into H x K orbits, K = H or the subgroup <Z(G), H>."""
+def double_cosets(g: GroupTable, emb: Embedding, mod_center: bool = False,
+                  plain: DoubleCosetDecomposition | None = None
+                  ) -> DoubleCosetDecomposition:
+    """Partition g into H x K orbits, K = H or the subgroup <Z(G), H>.
+
+    Mod center, the plain decomposition ``plain`` (computed here if not
+    given) is merged along the action of a generator of Z(G)."""
     if emb.big is not g:
         raise InternalCheckError("embedding does not target this group")
+    if mod_center:
+        if plain is None:
+            plain = double_cosets(g, emb)
+        elif (plain.group is not g or plain.embedding is not emb
+              or plain.mod_center):
+            raise InternalCheckError(
+                "mod-center cosets need the plain decomposition of this group")
+        return _merge_by_center(plain)
     gens = [emb.map[i] for i in emb.small.generator_ids]
     perms = [g.id_perm(h, left=True) for h in gens]
     perms += [g.id_perm(h) for h in gens]
-    if mod_center:
-        perms += [g.id_perm(z) for z in g.center_ids() if z != g.identity_id]
-    reps, coset_of = np.unique(orbits(perms, g.order), return_inverse=True)
-    return DoubleCosetDecomposition(g, emb, mod_center, coset_of,
-                                    reps.tolist(), len(reps))
+    reps, coset_of = number_orbits(orbits(perms, g.order))
+    return DoubleCosetDecomposition(g, emb, False, coset_of, reps.tolist(),
+                                    len(reps))
+
+
+def center_generator(g: GroupTable) -> int | None:
+    """Id of an element generating Z(G), None if Z(G) is trivial; raises
+    unless Z(G) is cyclic.  The powers of z are read off x -> x z from the
+    identity."""
+    center = g.center_ids()
+    for z in center:
+        if z == g.identity_id:
+            continue
+        right, x, order = g.id_perm(z), z, 1
+        while x != g.identity_id:
+            x, order = int(right[x]), order + 1
+        if order == len(center):
+            return z
+    if len(center) > 1:
+        raise InternalCheckError(f"the center of {g!r} is not cyclic")
+    return None
+
+
+def _merge_by_center(plain: DoubleCosetDecomposition
+                     ) -> DoubleCosetDecomposition:
+    """The mod-center decomposition: orbits on the plain cosets of a
+    generator z of the center, c -> coset_of[z rep_c], checked on every
+    element as coset_of[x z] = perm[coset_of[x]]."""
+    g, coset_of = plain.group, plain.coset_of
+    z = center_generator(g)
+    if z is None:
+        return DoubleCosetDecomposition(g, plain.embedding, True, coset_of,
+                                        plain.reps, plain.count)
+    right = g.id_perm(z)
+    perm = coset_of[right[plain.reps]]
+    bad = np.flatnonzero(coset_of[right] != perm[coset_of])
+    if bad.size:
+        raise InternalCheckError(
+            "the center does not permute the plain double cosets "
+            f"(element id {bad[0]})")
+    roots, merged = number_orbits(orbits([perm], plain.count))
+    reps = np.asarray(plain.reps)[roots]
+    return DoubleCosetDecomposition(g, plain.embedding, True,
+                                    merged.take(coset_of), reps.tolist(),
+                                    len(reps))
 
 
 def involution_action(d: DoubleCosetDecomposition) -> InvolutionAction:

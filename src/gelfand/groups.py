@@ -4,11 +4,14 @@ A GroupTable stores its elements as one (order, n^2) uint8 array ``mat``,
 rows in the lexicographic order of their entries, next to int64 base-q
 ``codes`` that increase with that order and the (n, order) base-q codes of
 each element's rows, ``row_codes``.  ``ids_of_codes`` maps matrix codes to
-element ids by binary search and raises, naming the matrix, if any is not
-in the group, so every batched lookup is also a membership check; ``ids_of``
-encodes a uint8 batch first.  The fixed order makes coset representatives,
-class representatives and reports reproducible bit for bit.  MatFq objects
-are built only on demand.
+element ids and raises, naming the matrix, if any is not in the group, so
+every batched lookup is also a membership check; ``ids_of`` encodes a uint8
+batch first.  Where the q^(n^2) codes number at most 4 |G| (every GL_n,
+since |GL_n| / q^(n^2) = prod (1 - q^-i) > 0.288, and no O_n with n >= 2)
+the lookup is one gather from the int32 code -> id array ``id_of_code``,
+-1 off the group; elsewhere it is a binary search of ``codes``.  The fixed
+order makes coset representatives, class representatives and reports
+reproducible bit for bit.  MatFq objects are built only on demand.
 
 The group is multiplied by one fixed matrix m without a matrix product: row
 i of x m is row_i(x) m, so ``perm`` builds the table v -> code(v m) over the
@@ -31,8 +34,9 @@ candidate ids in order, keeps each one not yet reached, and grows one BFS
 tree from the identity under left multiplication by the kept ones.  Along
 that tree ``_spread`` carries the inverse table and the right-regular rows
 x -> x t of any elements t with no further product.  ``orbits`` labels the
-orbits of a set of id permutations by their minimal element id; double
-cosets and conjugacy classes are orbits of this kind.
+orbits of a set of id permutations by their minimal element id, and
+``number_orbits`` numbers them in the order of those ids; double cosets and
+conjugacy classes are orbits of this kind.
 
 GL is enumerated by extending linearly independent row prefixes (the span
 of the chosen rows is carried along, so the q^(n^2) ambient space is never
@@ -122,10 +126,19 @@ def orbits(perms, size: int) -> np.ndarray:
     while True:
         prev = label
         for p in perms:
-            label = np.minimum(label, label[p])
-        label = label[label]
+            label = np.minimum(label, label.take(p))
+        label = label.take(label)
         if np.array_equal(label, prev):
             return label
+
+
+def number_orbits(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The representatives of ``orbits`` labels, ascending (the ids that
+    label themselves), and every id's orbit number in that order (int32)."""
+    reps = np.flatnonzero(label == np.arange(len(label)))
+    number = np.zeros(len(label), dtype=np.int32)
+    number[reps] = np.arange(len(reps), dtype=np.int32)
+    return reps, number.take(label)
 
 
 def invert_perm(p: np.ndarray) -> np.ndarray:
@@ -145,12 +158,15 @@ class GroupTable:
         self.field = field
         mat = np.asarray(mat, dtype=np.uint8).reshape(-1, n * n)
         codes = encode(mat, field.q)
-        by_code = np.argsort(codes)
-        self.mat = mat[by_code]
-        self.codes = codes[by_code]
+        # row extension enumerates in code order already
+        if not np.all(codes[1:] > codes[:-1]):
+            by_code = np.argsort(codes)
+            mat, codes = mat[by_code], codes[by_code]
+            if np.any(codes[1:] == codes[:-1]):
+                raise InternalCheckError("duplicate elements in group table")
+        self.mat = mat
+        self.codes = codes
         self.order = len(self.codes)
-        if np.any(self.codes[1:] == self.codes[:-1]):
-            raise InternalCheckError("duplicate elements in group table")
         # row_codes[i, x]: base-q code of row i of element x, in the
         # smallest unsigned type that holds q^n - 1 (``take`` gathers by
         # any of them at the same speed)
@@ -159,6 +175,14 @@ class GroupTable:
                                   np.min_scalar_type(field.q ** n - 1))
         for i in range(n):
             self.row_codes[i] = encode(rows[:, i], field.q)
+        # code -> id, -1 off the group, wherever the group is dense enough
+        # in the q^(n^2) matrices for the array to cost at most 16 bytes an
+        # element; None sends ``ids_of_codes`` to binary search
+        self.id_of_code = None
+        if field.q ** (n * n) <= 4 * self.order:
+            self.id_of_code = np.full(field.q ** (n * n), -1, dtype=np.int32)
+            self.id_of_code[self.codes] = np.arange(self.order,
+                                                    dtype=np.int32)
         self.identity_id = self.id_of_entries(identity_flat(n))
         # both set by ``_close`` on the first read of ``generator_ids``
         self._generator_ids = None
@@ -177,15 +201,30 @@ class GroupTable:
 
     def ids_of_codes(self, codes: np.ndarray) -> np.ndarray:
         """Element id (int32) of every int64 matrix code; raises, naming
-        the decoded matrix, if any code is not in the group."""
+        the decoded matrix, if any code is not in the group.
+
+        One gather from ``id_of_code`` where the table has it (a code past
+        its end comes only from entries outside F_q); else a binary search
+        of the sorted ``codes``."""
         n, q = self.n, self.field.q
-        ids = np.minimum(np.searchsorted(self.codes, codes), self.order - 1)
-        missing = np.flatnonzero(self.codes[ids] != codes)
+        codes = np.asarray(codes, dtype=np.int64)
+        if self.id_of_code is not None:
+            try:
+                ids = self.id_of_code.take(codes)
+                missing = np.flatnonzero(ids < 0)
+            except IndexError:
+                ids = None
+                missing = np.flatnonzero(codes >= len(self.id_of_code))
+        else:
+            ids = np.minimum(np.searchsorted(self.codes, codes),
+                             self.order - 1)
+            missing = np.flatnonzero(self.codes[ids] != codes)
+            ids = ids.astype(np.int32)
         if missing.size:
             row = tuple(decode(codes[missing[:1]], n * n, q)[0].tolist())
             raise InternalCheckError(
                 f"matrix {row} not in {self.kind}_{n}(F_{q})")
-        return ids.astype(np.int32)
+        return ids
 
     def id_of_entries(self, entries: tuple) -> int:
         """Element id for a flat entry tuple; raises if not in the group."""
@@ -299,8 +338,13 @@ class GroupTable:
         root = np.asarray(root, dtype=np.int32)
         out = np.empty((self.order,) + root.shape, dtype=np.int32)
         out[self.identity_id] = root
+        # each element's value as one opaque item, so that the gathers and
+        # scatters along the edges are 1-D ``take`` and ``put``
+        flat = out.reshape(self.order, -1)
+        items = flat.view(np.dtype((np.void, flat[0].nbytes))).ravel()
         for k, xs, ys in self.schreier_tree:
-            out[ys] = perms[k][out[xs]]
+            items.put(ys, perms[k].take(flat.take(xs, axis=0))
+                      .view(items.dtype))
         return out
 
     def right_rows(self, t):

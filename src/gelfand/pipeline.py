@@ -19,13 +19,14 @@ import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from .chartab import (character_table, conjugacy_classes, dim_invariants,
-                      transpose_preserves_classes, verify_pair)
+from .chartab import (_sums_exact, character_table, conjugacy_classes,
+                      dim_invariants, transpose_preserves_classes,
+                      verify_pair)
 from .cosets import classify_nonfixed_gl, double_cosets, involution_action
 from .errors import CapExceededError, DomainError
 from .field import Fq, field_from_q
 from .groups import (DEFAULT_GROUP_CAP, GroupTable, embed_standard,
-                     enumerate_gl, enumerate_o)
+                     enumerate_gl, enumerate_o, gl_order, o_order)
 
 REPORT_SCHEMA = "gelfand-report/1"
 
@@ -107,6 +108,22 @@ def enumerate_group(kind: str, n: int, field: Fq,
     return enum(n, field, cap)
 
 
+def check_table_fits(kind: str, n: int, field: Fq) -> None:
+    """Refuse, before it is enumerated, a group whose character table no
+    modulus keeps exact: the first of ``character_table``'s bounds fails
+    already at the smallest modulus it could use, l = 2|G| + 1."""
+    if kind == "gl":
+        order = gl_order(n, field.q)
+    elif kind == "o":
+        order = o_order(n, field)
+    else:
+        return  # enumerate_group names the unknown kind
+    if not _sums_exact(order, 1, 2 * order + 1):
+        raise CapExceededError(
+            f"|{kind.upper()}_{n}(F_{field.q})| = {order} is too large for "
+            "an exact character table")
+
+
 def run_verify(kind: str, n: int, q: int, *,
                cap: int = DEFAULT_GROUP_CAP,
                cache_dir: str | Path | None = None) -> VerificationReport:
@@ -125,6 +142,7 @@ def run_verify(kind: str, n: int, q: int, *,
         return result
 
     field = staged("field", lambda: field_from_q(q))
+    check_table_fits(kind, n + 1, field)
     big = staged("enumerate_group",
                  lambda: enumerate_group(kind, n + 1, field, cap))
     small = staged("enumerate_subgroup",
@@ -134,7 +152,7 @@ def run_verify(kind: str, n: int, q: int, *,
 
     plain = staged("cosets_plain", lambda: double_cosets(big, emb, False))
     mod_center = staged("cosets_mod_center",
-                        lambda: double_cosets(big, emb, True))
+                        lambda: double_cosets(big, emb, True, plain))
     act_plain = staged("involution_plain", lambda: involution_action(plain))
     act_mc = staged("involution_mod_center",
                     lambda: involution_action(mod_center))
@@ -315,6 +333,25 @@ def _sweep_row(result, out_dir: str | Path | None) -> SweepRow:
                     seconds=round(seconds, 3), report_path=path_str)
 
 
+def _pool_rows(tasks, indices, workers, rows, out_dir) -> dict:
+    """Run tasks[i] for the given indices in one fresh process pool, each
+    row set as its point returns; returns {i: exception} for the points
+    whose futures raised."""
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    lost = {}
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(_sweep_point, tasks[i]): i for i in indices}
+        for fut in as_completed(futures):
+            i = futures[fut]
+            try:
+                result = fut.result()
+            except Exception as exc:
+                lost[i] = exc
+                continue
+            rows[i] = _sweep_row(result, out_dir)
+    return lost
+
+
 def run_sweep(points: list[tuple[str, int, int]] | None = None,
               out_dir: str | Path | None = None, *,
               cap: int = DEFAULT_GROUP_CAP,
@@ -322,32 +359,26 @@ def run_sweep(points: list[tuple[str, int, int]] | None = None,
               jobs: int = 1) -> SweepSummary:
     """run_verify over a grid; per-point failures are recorded, not fatal.
 
-    With jobs != 1 each point is its own future.  A point whose future
-    raises (say its worker process was killed, which breaks the pool for
-    every point still running or queued) becomes an internal error row;
-    points that finished keep their rows and reports."""
+    With jobs != 1 each point is its own future.  A worker process that
+    dies breaks the pool for every point still running or queued in it, so
+    each point whose future raised runs once more, alone in a fresh pool.
+    Only a point lost there too becomes an internal error row; points that
+    finished keep their rows and reports."""
     if points is None:
         points = default_points()
     tasks = [(kind, n, q, cap, cache_dir) for kind, n, q in points]
     if jobs == 1 or len(tasks) <= 1:
         rows = [_sweep_row(_sweep_point(t), out_dir) for t in tasks]
     else:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
         rows = [None] * len(tasks)
-        workers = jobs if jobs > 0 else None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_sweep_point, t): i
-                       for i, t in enumerate(tasks)}
-            for fut in as_completed(futures):
-                i = futures[fut]
-                try:
-                    result = fut.result()
-                except Exception as exc:
-                    kind, n, q = tasks[i][:3]
-                    result = (kind, n, q, None,
-                              f"worker process failed: {exc!r}", "internal",
-                              0.0)
-                rows[i] = _sweep_row(result, out_dir)
+        lost = _pool_rows(tasks, range(len(tasks)), jobs if jobs > 0 else None,
+                          rows, out_dir)
+        for i in sorted(lost):
+            for exc in _pool_rows(tasks, [i], 1, rows, out_dir).values():
+                kind, n, q = tasks[i][:3]
+                rows[i] = _sweep_row(
+                    (kind, n, q, None, f"worker process failed: {exc!r}",
+                     "internal", 0.0), out_dir)
     summary = SweepSummary(rows)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)

@@ -392,6 +392,18 @@ def test_a_modulus_past_exact_integer_sums_is_refused(monkeypatch):
     assert walks == []  # refused before the walk
 
 
+def test_the_table_size_check_passes_gl5_f2_and_refuses_gl6_f2():
+    from gelfand.groups import gl_order
+    from gelfand.pipeline import check_table_fits
+    for n, fits in ((5, True), (6, False)):
+        order = gl_order(n, 2)
+        assert chartab._sums_exact(order, 1, 2 * order + 1) is fits
+    check_table_fits("gl", 5, field_from_q(2))
+    with pytest.raises(CapExceededError, match="too large") as info:
+        check_table_fits("gl", 6, field_from_q(2))
+    assert str(gl_order(6, 2)) in str(info.value)
+
+
 def test_no_separating_element_raises(monkeypatch):
     g, classes = build("gl", 2, 3)
     monkeypatch.setattr(chartab, "_separator_bases", lambda k: (1,) * 32)

@@ -342,6 +342,60 @@ def test_crashed_worker_loses_only_its_point(monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "gl-n1-q4.json").exists()
 
 
+def test_points_lost_with_a_broken_pool_run_again(monkeypatch, tmp_path,
+                                                 capsys):
+    import os
+    from gelfand import pipeline
+
+    verify = pipeline.run_verify
+    crashed = tmp_path / "crashed"
+
+    def crash_before_the_others(kind, n, q, **kwargs):
+        if (kind, n, q) == ("gl", 1, 4):
+            with open(tmp_path / "attempts", "a") as fh:
+                fh.write("x")
+            crashed.touch()
+            os._exit(1)
+        if not crashed.exists():
+            # the first pool: wait for the crash, which ends this worker
+            deadline = time.monotonic() + 30
+            while not crashed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(5)
+        return verify(kind, n, q, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_verify", crash_before_the_others)
+    assert main(["sweep", "--points", "gl:2:4,gl:2:2,o:2:3,gl:2:3",
+                 "--threads", "2", "--out-dir", str(tmp_path)]) == 3
+    assert "internal error: worker process failed" in capsys.readouterr().out
+    # the crashing point ran twice, once in the shared pool and once alone
+    assert (tmp_path / "attempts").read_text() == "xx"
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert [p["error_kind"] for p in data["points"]] == ["internal"] + \
+        [None] * 3
+    assert [p["pass"] for p in data["points"]] == [False, True, True, True]
+    for p in data["points"][1:]:
+        assert json.loads(open(p["report"]).read())["pass"]
+    assert not (tmp_path / "gl-n1-q4.json").exists()
+
+
+def test_a_group_too_large_for_a_table_is_refused_unenumerated(monkeypatch,
+                                                                capsys):
+    from gelfand import pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(pipeline, "enumerate_gl", refuse)
+    # GL6(F2) has about 2 * 10^10 elements; a raised cap lets it through
+    for argv in (["verify", "--kind", "gl", "--n", "5"],
+                 ["chartab", "--type", "gl", "--n", "6"]):
+        assert main(argv + ["--q", "2", "--cap-group-order",
+                            str(10 ** 12)]) == 2
+        assert "too large for an exact character table" in \
+            capsys.readouterr().err
+
+
 def test_a_cache_file_missing_a_key_is_recomputed_by_verify_and_sweep(
         tmp_path, capsys):
     assert main(["verify", "--kind", "gl", "--n", "1", "--q", "3",

@@ -1,9 +1,15 @@
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from gelfand.cosets import (classify_nonfixed_gl, count_nonfixed,
+from gelfand.cosets import (DoubleCosetDecomposition, center_generator,
+                            classify_nonfixed_gl, count_nonfixed,
                             double_cosets, involution_action)
+from gelfand.errors import InternalCheckError
 from gelfand.groups import (embed_identity, embed_standard, enumerate_gl,
-                            enumerate_o)
+                            enumerate_o, orbits)
 from gelfand.matrix import mat_vec
 
 
@@ -101,6 +107,89 @@ def test_mod_center_coarsens_plain(f3):
     from collections import Counter
     sizes = Counter(refine.values())
     assert max(sizes.values()) <= len(g.center_ids())
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                     / "goldens.json").read_text())["points"]
+
+
+def mod_center_by_orbits_over_g(g, emb):
+    """The reference route: orbits over all of G of H's left and right
+    permutations together with every nontrivial central element's."""
+    gens = [emb.map[i] for i in emb.small.generator_ids]
+    perms = [g.id_perm(h, left=True) for h in gens]
+    perms += [g.id_perm(h) for h in gens]
+    perms += [g.id_perm(z) for z in g.center_ids() if z != g.identity_id]
+    reps, coset_of = np.unique(orbits(perms, g.order), return_inverse=True)
+    return reps.tolist(), coset_of
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_mod_center_from_the_plain_cosets_equals_orbits_over_g(name):
+    point = GOLDEN[name]
+    g, emb = make_pair(point["kind"], point["n"], point["q"])
+    plain = double_cosets(g, emb)
+    mc = double_cosets(g, emb, True, plain)
+    reps, coset_of = mod_center_by_orbits_over_g(g, emb)
+    assert mc.mod_center and mc.count == len(reps)
+    assert mc.reps == reps
+    assert np.array_equal(mc.coset_of, coset_of)
+    # computed here from scratch when no plain decomposition is given
+    again = double_cosets(g, emb, mod_center=True)
+    assert again.reps == reps and np.array_equal(again.coset_of, coset_of)
+
+
+def test_a_center_that_does_not_permute_the_plain_cosets_is_caught(f3):
+    g, emb = make_pair("gl", 1, 3)
+    # a false "plain" partition, the identity against everything else: -I
+    # maps the identity out of its part and -I into it
+    assert g.identity_id > 0
+    coset_of = np.zeros(g.order, dtype=np.int32)
+    coset_of[g.identity_id] = 1
+    fake = DoubleCosetDecomposition(g, emb, False, coset_of,
+                                    [0, g.identity_id], 2)
+    with pytest.raises(InternalCheckError,
+                       match="center does not permute the plain double"):
+        double_cosets(g, emb, True, fake)
+
+
+def test_mod_center_needs_the_plain_cosets_of_the_same_pair(f3):
+    g, emb = make_pair("gl", 1, 3)
+    plain = double_cosets(g, emb)
+    mc = double_cosets(g, emb, True, plain)
+    other = embed_identity(g)
+    for wrong, e in ((mc, emb), (plain, other)):
+        with pytest.raises(InternalCheckError, match="plain decomposition"):
+            double_cosets(g, e, True, wrong)
+
+
+@pytest.mark.parametrize("kind,n,q,size", [
+    ("gl", 2, 2, 1), ("gl", 2, 3, 2), ("gl", 2, 7, 6), ("gl", 2, 8, 7),
+    ("o", 3, 3, 2)])
+def test_the_center_generator_generates_the_center(kind, n, q, size):
+    from gelfand.field import field_from_q
+    g = (enumerate_gl if kind == "gl" else enumerate_o)(n, field_from_q(q))
+    z = center_generator(g)
+    assert len(g.center_ids()) == size
+    if size == 1:
+        assert z is None
+        return
+    powers, x = {g.identity_id}, z
+    while x != g.identity_id:
+        powers.add(x)
+        x = g.mul_ids(x, z)
+    assert sorted(powers) == g.center_ids()
+
+
+def test_a_center_with_no_generator_is_caught(f3, monkeypatch):
+    g = enumerate_gl(2, f3)
+    # a false center {1, -I, a reflection}: no element of it has order 3
+    minus = g.id_of_entries((2, 0, 0, 2))
+    swap = g.id_of_entries((0, 1, 1, 0))
+    monkeypatch.setattr(g, "center_ids",
+                        lambda: sorted([g.identity_id, minus, swap]))
+    with pytest.raises(InternalCheckError, match="not cyclic"):
+        center_generator(g)
 
 
 # ---------------------------------------------------------

@@ -16,6 +16,7 @@ from gelfand.errors import CapExceededError, InternalCheckError
 from gelfand.field import field_from_q
 from gelfand.groups import GroupTable, enumerate_gl, enumerate_o, orbits
 from gelfand.matrix import inverse_flat, mul_batch, mul_flat
+from gelfand.pipeline import run_verify
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 4, 8])
@@ -150,6 +151,64 @@ def test_the_closure_leaves_a_tree_of_left_products(name):
     ys = np.concatenate([ys for _, _, ys in g.schreier_tree])
     assert sorted(ys.tolist()) == [
         i for i in range(g.order) if i != g.identity_id]
+
+
+# -- lookup: a direct code -> id array where the group is dense -----------------
+
+LOOKUP_GROUPS = KERNEL_GROUPS | {"GL4(F2)": (enumerate_gl, 4, 2),
+                                 "O4(F3)": (enumerate_o, 4, 3),
+                                 "O3(F7)": (enumerate_o, 3, 7)}
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_GROUPS))
+def test_every_code_looks_up_its_own_id(name):
+    enum, n, q = LOOKUP_GROUPS[name]
+    g = enum(n, field_from_q(q))
+    # the table's density picks the path: every GL_n, no O_n with n >= 2
+    assert (g.id_of_code is not None) == (g.kind == "GL")
+    ids = g.ids_of_codes(g.codes)
+    assert ids.dtype == np.int32
+    assert np.array_equal(ids, np.arange(g.order))
+
+
+@pytest.mark.parametrize("name", ["GL3(F3)", "GL2(F4)", "GL4(F2)"])
+def test_the_direct_array_agrees_with_binary_search(name):
+    enum, n, q = LOOKUP_GROUPS[name]
+    g = enum(n, field_from_q(q))
+    picks = random.Random(name).sample(range(g.order), 8)
+    codes = np.concatenate([
+        groups.encode(mul_batch(g.mat, g.mat[t], n, g.field), q)
+        for t in picks])
+    assert np.array_equal(g.ids_of_codes(codes),
+                          np.searchsorted(g.codes, codes))
+
+
+def test_no_gl_table_searches_its_codes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("searchsorted called")
+
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    report = run_verify("gl", 2, 3)
+    assert report.passed
+
+
+@pytest.mark.parametrize("enum,n,q,m,kind", [
+    (enumerate_gl, 2, 3, (1, 2, 2, 1), "GL_2"),  # det 0 mod 3
+    (enumerate_gl, 4, 2, (1, 1) + (0,) * 14, "GL_4"),  # singular
+    (enumerate_o, 3, 3, (1, 1, 0, 0, 1, 0, 0, 0, 1), "O_3"),  # not orthogonal
+])
+def test_a_non_member_is_named_by_either_lookup(enum, n, q, m, kind):
+    g = enum(n, field_from_q(q))
+    batch = np.array([g.mat[1], m], dtype=np.uint8)
+    with pytest.raises(InternalCheckError,
+                       match=re.escape(f"matrix {m} not in {kind}(F_{q})")):
+        g.ids_of(batch)
+
+
+def test_entries_outside_the_field_are_not_members():
+    g = enumerate_gl(2, field_from_q(3))
+    with pytest.raises(InternalCheckError, match=r"not in GL_2\(F_3\)"):
+        g.ids_of(np.array([[3, 0, 0, 3]], dtype=np.uint8))
 
 
 # -- products by a fixed matrix: row-code gathers ----------------------------------
