@@ -10,13 +10,12 @@ they are canonical for a fixed element order.
 
 The mod-center decomposition is built from the plain one.  H x HZ is the
 union of the plain cosets H z x H over z in Z, and Z is central, so it only
-permutes the plain cosets.  Z is cyclic on every pair here (the scalars for
-GL, +-I for O), so one generator z is enough: it acts on the plain cosets
-as c -> coset_of[z rep_c], which is checked on every element, and the
-mod-center cosets are the orbits of that permutation on the plain coset
-ids.  A trivial center leaves the plain cosets as they are.  Each plain
-representative is its coset's minimal id, so an orbit's minimal coset id
-carries the minimal id of the union: the representatives stay minimal.
+permutes the plain cosets.  Each nontrivial z in Z acts on them as
+c -> coset_of[z rep_c], which is checked on every element, and the
+mod-center cosets are the orbits of these permutations on the plain coset
+ids.  Each plain representative is its coset's minimal id, so an orbit's
+minimal coset id carries the minimal id of the union: the representatives
+stay minimal.
 
 The transpose map g -> g^T is an anti-involution; it permutes double cosets
 whenever both subgroups are transpose-stable, which holds for the standard
@@ -71,7 +70,7 @@ def double_cosets(g: GroupTable, emb: Embedding, mod_center: bool = False,
     """Partition g into H x K orbits, K = H or the subgroup <Z(G), H>.
 
     Mod center, the plain decomposition ``plain`` (computed here if not
-    given) is merged along the action of a generator of Z(G)."""
+    given) is merged along the action of Z(G)."""
     if emb.big is not g:
         raise InternalCheckError("embedding does not target this group")
     if mod_center:
@@ -90,42 +89,25 @@ def double_cosets(g: GroupTable, emb: Embedding, mod_center: bool = False,
                                     len(reps))
 
 
-def center_generator(g: GroupTable) -> int | None:
-    """Id of an element generating Z(G), None if Z(G) is trivial; raises
-    unless Z(G) is cyclic.  The powers of z are read off x -> x z from the
-    identity."""
-    center = g.center_ids()
-    for z in center:
-        if z == g.identity_id:
-            continue
-        right, x, order = g.id_perm(z), z, 1
-        while x != g.identity_id:
-            x, order = int(right[x]), order + 1
-        if order == len(center):
-            return z
-    if len(center) > 1:
-        raise InternalCheckError(f"the center of {g!r} is not cyclic")
-    return None
-
-
 def _merge_by_center(plain: DoubleCosetDecomposition
                      ) -> DoubleCosetDecomposition:
-    """The mod-center decomposition: orbits on the plain cosets of a
-    generator z of the center, c -> coset_of[z rep_c], checked on every
-    element as coset_of[x z] = perm[coset_of[x]]."""
+    """The mod-center decomposition: orbits on the plain cosets of the
+    permutations c -> coset_of[z rep_c] of the nontrivial central z, each
+    checked on every element as coset_of[x z] = perm[coset_of[x]]."""
     g, coset_of = plain.group, plain.coset_of
-    z = center_generator(g)
-    if z is None:
-        return DoubleCosetDecomposition(g, plain.embedding, True, coset_of,
-                                        plain.reps, plain.count)
-    right = g.id_perm(z)
-    perm = coset_of[right[plain.reps]]
-    bad = np.flatnonzero(coset_of[right] != perm[coset_of])
-    if bad.size:
-        raise InternalCheckError(
-            "the center does not permute the plain double cosets "
-            f"(element id {bad[0]})")
-    roots, merged = number_orbits(orbits([perm], plain.count))
+    perms = []
+    for z in g.center_ids():
+        if z == g.identity_id:
+            continue
+        right = g.id_perm(z)
+        perm = coset_of[right[plain.reps]]
+        bad = np.flatnonzero(coset_of[right] != perm[coset_of])
+        if bad.size:
+            raise InternalCheckError(
+                "the center does not permute the plain double cosets "
+                f"(element id {bad[0]})")
+        perms.append(perm)
+    roots, merged = number_orbits(orbits(perms, plain.count))
     reps = np.asarray(plain.reps)[roots]
     return DoubleCosetDecomposition(g, plain.embedding, True,
                                     merged.take(coset_of), reps.tolist(),

@@ -158,12 +158,11 @@ class GroupTable:
         self.field = field
         mat = np.asarray(mat, dtype=np.uint8).reshape(-1, n * n)
         codes = encode(mat, field.q)
-        # row extension enumerates in code order already
+        # row extension enumerates in code order; this also refuses
+        # duplicate rows
         if not np.all(codes[1:] > codes[:-1]):
-            by_code = np.argsort(codes)
-            mat, codes = mat[by_code], codes[by_code]
-            if np.any(codes[1:] == codes[:-1]):
-                raise InternalCheckError("duplicate elements in group table")
+            raise InternalCheckError(
+                "group table rows are not in strictly increasing code order")
         self.mat = mat
         self.codes = codes
         self.order = len(self.codes)
@@ -338,13 +337,8 @@ class GroupTable:
         root = np.asarray(root, dtype=np.int32)
         out = np.empty((self.order,) + root.shape, dtype=np.int32)
         out[self.identity_id] = root
-        # each element's value as one opaque item, so that the gathers and
-        # scatters along the edges are 1-D ``take`` and ``put``
-        flat = out.reshape(self.order, -1)
-        items = flat.view(np.dtype((np.void, flat[0].nbytes))).ravel()
         for k, xs, ys in self.schreier_tree:
-            items.put(ys, perms[k].take(flat.take(xs, axis=0))
-                      .view(items.dtype))
+            out[ys] = perms[k][out[xs]]
         return out
 
     def right_rows(self, t):

@@ -25,8 +25,9 @@ from .chartab import (_sums_exact, character_table, conjugacy_classes,
 from .cosets import classify_nonfixed_gl, double_cosets, involution_action
 from .errors import CapExceededError, DomainError
 from .field import Fq, field_from_q
-from .groups import (DEFAULT_GROUP_CAP, GroupTable, embed_standard,
-                     enumerate_gl, enumerate_o, gl_order, o_order)
+from .groups import (DEFAULT_GROUP_CAP, GroupTable, check_code_range,
+                     embed_standard, enumerate_gl, enumerate_o, gl_order,
+                     o_order)
 
 REPORT_SCHEMA = "gelfand-report/1"
 
@@ -111,13 +112,12 @@ def enumerate_group(kind: str, n: int, field: Fq,
 def check_table_fits(kind: str, n: int, field: Fq) -> None:
     """Refuse, before it is enumerated, a group whose character table no
     modulus keeps exact: the first of ``character_table``'s bounds fails
-    already at the smallest modulus it could use, l = 2|G| + 1."""
-    if kind == "gl":
-        order = gl_order(n, field.q)
-    elif kind == "o":
-        order = o_order(n, field)
-    else:
-        return  # enumerate_group names the unknown kind
+    already at the smallest modulus it could use, l = 2|G| + 1.  Matrix
+    codes past int64 are refused first, before |G| is computed."""
+    if kind not in ("gl", "o") or n < 1:
+        return  # enumerate_group names the unknown kind or the bad n
+    check_code_range(n, field.q)
+    order = gl_order(n, field.q) if kind == "gl" else o_order(n, field)
     if not _sums_exact(order, 1, 2 * order + 1):
         raise CapExceededError(
             f"|{kind.upper()}_{n}(F_{field.q})| = {order} is too large for "

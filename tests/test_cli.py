@@ -150,6 +150,14 @@ def test_cli_group_order_past_int64_codes_exits_2_at_once(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert "100000x100000 matrices over F_3 overflow int64" in \
         capsys.readouterr().err
+    # verify and chartab refuse it before |G| is computed
+    for argv, size in ((["verify", "--kind", "gl"], 100001),
+                       (["chartab", "--type", "gl"], 100000)):
+        t0 = time.perf_counter()
+        assert main(argv + ["--n", "100000", "--q", "3"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert f"{size}x{size} matrices over F_3 overflow int64" in \
+            capsys.readouterr().err
 
 
 def test_cli_cosets_json(capsys):

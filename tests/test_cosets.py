@@ -4,9 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gelfand.cosets import (DoubleCosetDecomposition, center_generator,
-                            classify_nonfixed_gl, count_nonfixed,
-                            double_cosets, involution_action)
+from gelfand.cosets import (DoubleCosetDecomposition, classify_nonfixed_gl,
+                            count_nonfixed, double_cosets, involution_action)
 from gelfand.errors import InternalCheckError
 from gelfand.groups import (embed_identity, embed_standard, enumerate_gl,
                             enumerate_o, orbits)
@@ -161,35 +160,6 @@ def test_mod_center_needs_the_plain_cosets_of_the_same_pair(f3):
     for wrong, e in ((mc, emb), (plain, other)):
         with pytest.raises(InternalCheckError, match="plain decomposition"):
             double_cosets(g, e, True, wrong)
-
-
-@pytest.mark.parametrize("kind,n,q,size", [
-    ("gl", 2, 2, 1), ("gl", 2, 3, 2), ("gl", 2, 7, 6), ("gl", 2, 8, 7),
-    ("o", 3, 3, 2)])
-def test_the_center_generator_generates_the_center(kind, n, q, size):
-    from gelfand.field import field_from_q
-    g = (enumerate_gl if kind == "gl" else enumerate_o)(n, field_from_q(q))
-    z = center_generator(g)
-    assert len(g.center_ids()) == size
-    if size == 1:
-        assert z is None
-        return
-    powers, x = {g.identity_id}, z
-    while x != g.identity_id:
-        powers.add(x)
-        x = g.mul_ids(x, z)
-    assert sorted(powers) == g.center_ids()
-
-
-def test_a_center_with_no_generator_is_caught(f3, monkeypatch):
-    g = enumerate_gl(2, f3)
-    # a false center {1, -I, a reflection}: no element of it has order 3
-    minus = g.id_of_entries((2, 0, 0, 2))
-    swap = g.id_of_entries((0, 1, 1, 0))
-    monkeypatch.setattr(g, "center_ids",
-                        lambda: sorted([g.identity_id, minus, swap]))
-    with pytest.raises(InternalCheckError, match="not cyclic"):
-        center_generator(g)
 
 
 # ---------------------------------------------------------

@@ -194,6 +194,14 @@ def test_o_closure_is_checked_against_the_closed_form(f3, monkeypatch):
         enumerate_o(3, f3)
 
 
+def test_group_table_rows_out_of_code_order_or_repeated_are_refused():
+    f3 = field_from_q(3)
+    for rows in ([[2], [1]], [[1], [1], [2]]):
+        with pytest.raises(InternalCheckError,
+                           match="not in strictly increasing code order"):
+            GroupTable("GL", 1, f3, rows)
+
+
 def test_codes_past_int64_are_refused_before_enumeration():
     f25 = field_from_q(25)  # 25^16 > 2^63
     with pytest.raises(CapExceededError, match="int64"):
