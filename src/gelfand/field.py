@@ -5,22 +5,23 @@ polynomial sum(c_i * x^i) where (c_0, c_1, ...) are the base-p digits of a.
 Index 0 is the additive identity, index 1 the multiplicative identity, and
 for prime fields the index is just the residue itself.
 
-All operations go through dense lookup tables (q^2 entries for add/mul)
-built once at construction, so hot loops elsewhere in the package are flat
-list indexing instead of polynomial arithmetic.  The batched matrix kernel
-reads the same tables as (q, q) uint8 arrays, built on first use by
-``arrays()``.  A field object is immutable after construction and safe to
-share between workers.
+All operations go through dense lookup tables, built once at construction by
+one array expression for every q: add is the digit-wise sum mod p, mul the
+digit convolution reduced by the monic modulus (for e = 1 there is nothing
+to reduce).  The batched matrix kernel reads the tables as (q, q) uint8
+arrays, scalar code as flat lists; neg and inv are read off them.  A field
+object is immutable after construction and safe to share between workers.
 
-The modulus for e >= 2 is the monic irreducible polynomial of degree e
-whose coefficient encoding (same base-p digit convention as elements) is
-least; this is deterministic and needs no external polynomial tables.
+The modulus for e >= 2 is the monic polynomial of degree e whose coefficient
+encoding (same base-p digit convention as elements) is least among those
+whose quotient ring F_p[x]/(f) has no zero divisor.  That ring is a field
+exactly when f is irreducible, so the multiplication table that has to be
+built anyway decides irreducibility; the same check guards every q.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import product
 
 import numpy as np
 
@@ -43,43 +44,36 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _tables(p: int, e: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(modulus, add, mul) of GF(p^e); the tables are (q, q) uint8 arrays.
 
-
-def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num / den over F_p; den must be monic."""
-    num = list(num)
-    dd = len(den) - 1
-    while len(num) - 1 >= dd and any(num):
-        shift = len(num) - 1 - dd
-        lead = num[-1]
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - lead * c) % p
-        _poly_trim(num)
-        if not num:
-            break
-    return num
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1 .. deg/2."""
-    e = len(poly) - 1
-    for d in range(1, e // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            den = list(tail) + [1]
-            if not _poly_mod(poly, den, p):
-                return False
-    return True
+    Each monic candidate x^e + low, least encoding first, reduces the digit
+    convolution from degree 2e - 2 down; the first whose products of nonzero
+    elements are all nonzero gives a field."""
+    q = p ** e
+    place = p ** np.arange(e)
+    digits = np.arange(q)[:, None] // place % p
+    add = (digits[:, None] + digits) % p @ place
+    conv = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
+    for i in range(e):
+        conv[:, :, i:i + e] += digits[:, None, i, None] * digits
+    for low in digits:
+        rem = conv.copy()
+        for k in range(2 * e - 2, e - 1, -1):
+            rem[..., k - e:k] -= rem[..., k, None] * low
+        mul = rem[..., :e] % p @ place
+        if mul[1:, 1:].all():
+            modulus = tuple(low.tolist()) + (1,) if e > 1 else ()
+            return modulus, add.astype(np.uint8), mul.astype(np.uint8)
+    raise AssertionError(  # pragma: no cover - irreducibles always exist
+        f"no irreducible polynomial of degree {e} over F_{p}")
 
 
 class Fq:
     """GF(p^e) with dense add/mul/neg/inv tables over canonical indices."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_neg", "_inv",
-                 "_generator", "_arrays")
+    __slots__ = ("p", "e", "q", "modulus", "_tables", "_add", "_mul", "_neg",
+                 "_inv", "_generator")
 
     def __init__(self, p: int, e: int):
         if e < 1:
@@ -96,66 +90,15 @@ class Fq:
         self.p = p
         self.e = e
         self.q = q
-        self.modulus = self._select_modulus() if e > 1 else ()
-        self._build_tables()
+        self.modulus, add, mul = _tables(p, e)
+        self._tables = (add, mul)
+        self._add = add.ravel().tolist()
+        self._mul = mul.ravel().tolist()
+        # each row of add holds one 0, each nonzero row of mul one 1; row 0
+        # of mul has none, so inv[0] reads 0
+        self._neg = (add == 0).argmax(axis=1).tolist()
+        self._inv = (mul == 1).argmax(axis=1).tolist()
         self._generator = None
-        self._arrays = None
-
-    def _select_modulus(self) -> tuple[int, ...]:
-        p, e = self.p, self.e
-        # candidates ordered by their index encoding; first irreducible wins
-        for idx in range(p ** e):
-            low = self._digits(idx)
-            poly = list(low) + [1]
-            if poly[0] != 0 and _is_irreducible(poly, p):
-                return tuple(poly)
-        raise AssertionError(  # pragma: no cover - irreducibles always exist
-            f"no irreducible polynomial of degree {e} over F_{p}")
-
-    def _digits(self, idx: int) -> list[int]:
-        d = []
-        for _ in range(self.e):
-            idx, r = divmod(idx, self.p)
-            d.append(r)
-        return d
-
-    def _index(self, digits: list[int]) -> int:
-        idx = 0
-        for c in reversed(digits):
-            idx = idx * self.p + c
-        return idx
-
-    def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self._add = [(a + b) % p for a in range(q) for b in range(q)]
-            self._mul = [(a * b) % p for a in range(q) for b in range(q)]
-            self._neg = [(-a) % p for a in range(q)]
-        else:
-            mod = list(self.modulus)
-            dig = [self._digits(a) for a in range(q)]
-            add = []
-            mul = []
-            for a in range(q):
-                for b in range(q):
-                    add.append(self._index(
-                        [(x + y) % p for x, y in zip(dig[a], dig[b])]))
-                    prod = [0] * (2 * e - 1)
-                    for i, x in enumerate(dig[a]):
-                        if x:
-                            for j, y in enumerate(dig[b]):
-                                prod[i + j] = (prod[i + j] + x * y) % p
-                    rem = _poly_mod(prod, mod, p)
-                    rem += [0] * (e - len(rem))
-                    mul.append(self._index(rem))
-            self._add = add
-            self._mul = mul
-            self._neg = [self._index([(-c) % p for c in dig[a]])
-                         for a in range(q)]
-        # Fermat: a^(q-2) inverts a for a != 0
-        self._inv = [0] + [self.pow(a, q - 2) for a in range(1, q)]
-        for a in range(1, q):
-            assert self._mul[a * q + self._inv[a]] == 1
 
     # -- scalar operations --------------------------------------------------
 
@@ -179,25 +122,9 @@ class Fq:
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: Scalar, n: int) -> Scalar:
-        if n == 0:
-            return 1
-        acc = 1
-        base = a
-        while n:
-            if n & 1:
-                acc = self._mul[acc * self.q + base]
-            base = self._mul[base * self.q + base]
-            n >>= 1
-        return acc
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The add and mul tables as (q, q) uint8 arrays, built on first use."""
-        if self._arrays is None:
-            q = self.q
-            self._arrays = tuple(np.array(t, dtype=np.uint8).reshape(q, q)
-                                 for t in (self._add, self._mul))
-        return self._arrays
+        """The add and mul tables as (q, q) uint8 arrays."""
+        return self._tables
 
     def elements(self) -> range:
         return range(self.q)

@@ -194,36 +194,38 @@ class GroupTable:
     # -- lookup ---------------------------------------------------------------
 
     def ids_of(self, batch: np.ndarray) -> np.ndarray:
-        """Element id (int32) of every row of a uint8 batch; raises if any
-        row is not in the group."""
-        return self.ids_of_codes(encode(batch, self.field.q))
+        """Element id (int32) of every row of a uint8 batch; raises, naming
+        the row, if any row is not in the group.  A row with an entry
+        outside F_q is named as given, before its code could alias
+        another matrix's."""
+        batch, q = np.asarray(batch), self.field.q
+        if batch.max(initial=0) >= q:
+            raise self._not_in(batch[(batch >= q).any(axis=1)][0])
+        return self.ids_of_codes(encode(batch, q))
 
     def ids_of_codes(self, codes: np.ndarray) -> np.ndarray:
         """Element id (int32) of every int64 matrix code; raises, naming
         the decoded matrix, if any code is not in the group.
 
-        One gather from ``id_of_code`` where the table has it (a code past
-        its end comes only from entries outside F_q); else a binary search
-        of the sorted ``codes``."""
-        n, q = self.n, self.field.q
+        One gather from ``id_of_code`` where the table has it; else a
+        binary search of the sorted ``codes``."""
         codes = np.asarray(codes, dtype=np.int64)
         if self.id_of_code is not None:
-            try:
-                ids = self.id_of_code.take(codes)
-                missing = np.flatnonzero(ids < 0)
-            except IndexError:
-                ids = None
-                missing = np.flatnonzero(codes >= len(self.id_of_code))
+            ids = self.id_of_code.take(codes)
+            missing = np.flatnonzero(ids < 0)
         else:
             ids = np.minimum(np.searchsorted(self.codes, codes),
                              self.order - 1)
             missing = np.flatnonzero(self.codes[ids] != codes)
             ids = ids.astype(np.int32)
         if missing.size:
-            row = tuple(decode(codes[missing[:1]], n * n, q)[0].tolist())
-            raise InternalCheckError(
-                f"matrix {row} not in {self.kind}_{n}(F_{q})")
+            raise self._not_in(
+                decode(codes[missing[:1]], self.n * self.n, self.field.q)[0])
         return ids
+
+    def _not_in(self, row: np.ndarray) -> InternalCheckError:
+        return InternalCheckError(f"matrix {tuple(row.tolist())} not in "
+                                  f"{self.kind}_{self.n}(F_{self.field.q})")
 
     def id_of_entries(self, entries: tuple) -> int:
         """Element id for a flat entry tuple; raises if not in the group."""
@@ -361,14 +363,19 @@ class GroupTable:
     @property
     def inverse_ids(self) -> np.ndarray:
         """Along each tree edge y = g x, y^-1 = x^-1 g^-1 = rho_g^-1(x^-1);
-        then checked as x inv[x] = 1 for every x by one batched product."""
+        then checked as x inv[x] = 1 for every x by batched products over
+        blocks of ROW_CHUNK entries."""
         if self._inverse_ids is None:
             _, right = self.generator_perms
             inv = self._spread(self.identity_id,
                                [invert_perm(rho) for rho in right])
-            if np.any(mul_batch(self.mat, self.mat[inv], self.n, self.field)
-                      != self.mat[self.identity_id]):
-                raise InternalCheckError("inverse table is wrong")
+            one = self.mat[self.identity_id]
+            step = max(1, ROW_CHUNK // (self.n * self.n))
+            for start in range(0, self.order, step):
+                block = slice(start, start + step)
+                if np.any(mul_batch(self.mat[block], self.mat[inv[block]],
+                                    self.n, self.field) != one):
+                    raise InternalCheckError("inverse table is wrong")
             self._inverse_ids = inv
         return self._inverse_ids
 

@@ -23,7 +23,9 @@ from .field import Fq, Scalar
 
 
 def mul_flat(a: tuple, b: tuple, n: int, field: Fq) -> tuple:
-    """Product of two flat n x n entry tuples.  Hot path for group loops."""
+    """Product of two flat n x n entry tuples, one element at a time: the
+    reference behind ``GroupTable.mul_ids``, and the call that perfbench
+    counts as a group-element product."""
     q = field.q
     addt = field._add
     mult = field._mul

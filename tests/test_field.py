@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -43,13 +44,56 @@ def test_modulus_is_irreducible(q):
             acc = (acc * x + ci) % p
         return acc
 
+    def rem_by_monic_quadratic(c, c0, c1):
+        # long division by x^2 + c1 x + c0, highest degree first
+        c = list(c)
+        for k in range(len(c) - 1, 1, -1):
+            lead = c[k]
+            c[k] = 0
+            c[k - 1] = (c[k - 1] - lead * c1) % p
+            c[k - 2] = (c[k - 2] - lead * c0) % p
+        return c[:2]
+
     assert all(poly_eval(coeffs, x) for x in range(p)), "modulus has a root"
     if e == 4:
-        from itertools import product
-        from gelfand.field import _poly_mod
-        for c0, c1 in product(range(p), repeat=2):
-            assert _poly_mod(coeffs, [c0, c1, 1], p), \
-                "modulus has a quadratic factor"
+        for c0 in range(p):
+            for c1 in range(p):
+                assert any(rem_by_monic_quadratic(coeffs, c0, c1)), \
+                    "modulus has a quadratic factor"
+
+
+# sha256 of (modulus, add, mul, neg, inv, generator()) per field, taken from
+# the table construction that used polynomial long division and Fermat
+# inverses; any change to an index convention or the modulus rule moves it
+FIELD_DIGESTS = {
+    2: "71a2de737bdc52e95de2e6d3f2267479278f731d6f182bb6db856d22dae2d073",
+    3: "7be07096e4b3eb146172a9ce0176a5162343ad4de86e00e94a669de2d8223a17",
+    4: "a42b1a61c38d2d518ae9a00e93fdcce48f2ebb9157c64314180b593bee7560f5",
+    5: "b7b11036518a37169bd2512a643166aa90e6be8bb733c808d6ac117b342ec4d3",
+    7: "336e08553e02d25ffc2b125ef35dabd099e1c59da05fd508b683a0cbfaa06392",
+    8: "5c8968b959b28fe5d13acc3d130b206032e92095b54644b2645bb970d8d235bf",
+    9: "fe55920ee2e4ddee62e539d69f2c8d1a9166047efae0ace0b52cf49adf2a53f3",
+    11: "a656ee4071d9458c45e51b9ea36479c1f3adeecc6955a0cc29558836b40822de",
+    13: "7ce451563a785d3ec99171aab2914d7fa7f9a33ae310d1baf300acd0a30d9693",
+    16: "32d7b2a8a20c34aad19bdb45fe9fa30b03bdb18c9d0809988c176bbf4bc6427c",
+    17: "96df211d8c03503d8a7c49881d7bb96ac1d49d3f7ae8e6f7b4b0ddf794abb542",
+    19: "add1549bb14bbaabc9b2ed048582602c023e1b7f1d2a3549359aa25c4b75f367",
+    23: "b8d10db2bdac19aa92f9a5b8b2b24471b889c57b885dfb217401ea57023ada89",
+    25: "c3d856a01419d2d3daaf35e2cc53bd5c6af51ad94bc322cf900ae1663860df88",
+}
+
+
+@pytest.mark.parametrize("q", ALL_PRIME_POWERS)
+def test_tables_match_pinned_digest(q):
+    f = field_from_q(q)
+    r = range(q)
+    payload = repr((f.modulus,
+                    [f.add(a, b) for a in r for b in r],
+                    [f.mul(a, b) for a in r for b in r],
+                    [f.neg(a) for a in r],
+                    [0] + [f.inv(a) for a in range(1, q)],
+                    f.generator()))
+    assert hashlib.sha256(payload.encode()).hexdigest() == FIELD_DIGESTS[q]
 
 
 def test_non_prime_p_rejected():

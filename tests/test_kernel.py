@@ -5,6 +5,7 @@ that gathers build on."""
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,9 +207,44 @@ def test_a_non_member_is_named_by_either_lookup(enum, n, q, m, kind):
 
 
 def test_entries_outside_the_field_are_not_members():
-    g = enumerate_gl(2, field_from_q(3))
-    with pytest.raises(InternalCheckError, match=r"not in GL_2\(F_3\)"):
-        g.ids_of(np.array([[3, 0, 0, 3]], dtype=np.uint8))
+    # both rows' codes decode to group elements: (3, 0, 0, 3) to (0, 0, 1,
+    # 0) and (1, 3, 0, 1) to diag(2, 1), which both tables hold
+    for g in (enumerate_gl(2, field_from_q(3)),
+              enumerate_o(2, field_from_q(3))):
+        for m in ((3, 0, 0, 3), (1, 3, 0, 1)):
+            batch = np.array([g.mat[1], m], dtype=np.uint8)
+            with pytest.raises(InternalCheckError, match=re.escape(
+                    f"matrix {m} not in {g.kind}_2(F_3)")):
+                g.ids_of(batch)
+
+
+def test_every_inverse_is_checked_block_by_block(monkeypatch):
+    # GL4(F2) checks 20,160 elements in blocks of 8,192: break the last one
+    g = enumerate_gl(4, field_from_q(2))
+    spread = g._spread
+
+    def break_last(root, perms):
+        out = spread(root, perms)
+        out[-1] = out[-2]
+        return out
+
+    monkeypatch.setattr(g, "_spread", break_last)
+    with pytest.raises(InternalCheckError, match="inverse table is wrong"):
+        g.inverse_ids
+
+
+def test_the_gl3_f4_inverse_check_peaks_below_5_mb():
+    # one product over all 181,440 elements at once peaked at 7.05 MiB
+    g = enumerate_gl(3, field_from_q(4), cap=200_000)
+    g.generator_perms
+    tracemalloc.start()
+    try:
+        inv = g.inverse_ids
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inv[inv[g.identity_id]] == g.identity_id
+    assert peak < 5 * 2 ** 20
 
 
 # -- products by a fixed matrix: row-code gathers ----------------------------------
