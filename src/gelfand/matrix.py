@@ -242,10 +242,6 @@ def vec_dot(field: Fq, a: tuple, b: tuple) -> Scalar:
     return acc
 
 
-def vec_sub(field: Fq, a: tuple, b: tuple) -> tuple:
-    return tuple(field.sub(x, y) for x, y in zip(a, b))
-
-
 def mat_vec(m: MatFq, v: tuple) -> tuple:
     if len(v) != m.cols:
         raise DomainError("vector length does not match matrix columns")

@@ -1,27 +1,26 @@
 """Constructive solver: a symmetric invertible B over GF(q) with B*phi = v.
 
-The recursion peels off the first coordinate.  Writing phi = (b1, phi1),
-v = (a1, v1) and B = [[c, r1^T], [r1, A]], the constraints are
+For nonzero phi and v, let c = v^T phi and let j be the first index with
+v_j != 0.  B is one closed form in two cases:
 
-    c*b1 + <r1, phi1> = a1        b1*r1 + A*phi1 = v1
+  c != 0:  B = v v^T / c + sum_{i != j} w_i w_i^T,
+           w_i = e_i - (phi_i / c) v;
+  c == 0:  B = (e_m v^T + v e_m^T) / phi_m + sum_{i not in {j, m}} w_i w_i^T,
+           w_i = e_i - (phi_i / phi_m) e_m,
 
-and the cases are dispatched in a fixed priority order:
+where m is the first index other than j with phi_m != 0.  Such an m exists
+when c == 0, since phi = phi_j e_j would give c = v_j phi_j != 0.  The
+second sum may as well run over i != j, as w_m = 0.
 
-  1. n = 1: B = [a1/b1].
-  2. phi1 = 0 (so b1 != 0): c and r1 are forced; A is free, taken as the
-     identity when r1 = 0, otherwise the identity with the diagonal slot
-     paired to the first nonzero coordinate of r1 zeroed (which keeps the
-     assembled matrix invertible for every field).
-  3. v1 = 0, or a1 = 0 with b1 != 0: solve the swapped instance (v, phi)
-     and invert the result (the swapped instance is case 2 or 4).
-  4. b1 = 0 (phi1, v1 != 0): recurse for A*phi1 = v1; r1 only needs
-     <r1, phi1> = a1 (supported on the first nonzero coordinate of phi1)
-     and c is 0 or 1, whichever makes B invertible.
-  5. everything nonzero: c = a1/b1, r1 = 0, recurse for A*phi1 = v1.
-
-A failure of both c candidates in case 4 would contradict the construction
-and aborts with a counterexample report instead of falling back silently.
-Every returned matrix is re-checked for symmetry, invertibility and
+Every w_i is orthogonal to phi, so B*phi = v (v^T phi / c) = v in the first
+case and B*phi = (e_m c + v phi_m) / phi_m = v in the second.  Every term
+is symmetric, so B is.  B = M K M^T, where M has the columns
+(v, w_i for i != j) and K = diag(1/c, 1, ..., 1) in the first case, and the
+columns (e_m / phi_m, v, w_i for i not in {j, m}) with K a hyperbolic plane
+[[0, 1], [1, 0]] plus the identity in the second.  The span of M's columns
+holds v and every e_i other than e_j, and v_j != 0, so M is invertible, and
+so is K.  Hence B is invertible in every characteristic, 2 included.
+Every returned matrix is still re-checked for symmetry, invertibility and
 B*phi = v before it leaves this module.
 
 The brute-force oracle returns the first invertible solution in canonical
@@ -32,7 +31,7 @@ when one batched fraction-free elimination through the field's add and mul
 tables reaches rank n; that stock is built once per (field, n).  A call
 then forms B*phi for the whole stock, column by column through the same
 tables, and takes the first B whose image is v.  The oracle shares nothing
-with the solver path: no ``_eliminate``, ``MatFq.det`` or ``inverse_flat``.
+with the solver beyond the input check: no ``_eliminate`` or ``MatFq.det``.
 """
 
 from __future__ import annotations
@@ -44,9 +43,22 @@ import numpy as np
 from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import Fq
 from .groups import decode
-from .matrix import MatFq, inverse_flat, mat_vec
+from .matrix import MatFq, mat_vec, vec_dot
 
 ORACLE_SEARCH_CAP = 15_625
+
+
+def _check_input(field: Fq, phi, v) -> tuple[tuple, tuple]:
+    phi = tuple(phi)
+    v = tuple(v)
+    if len(phi) != len(v) or not phi:
+        raise DomainError("phi and v must be nonempty vectors of equal length")
+    for x in phi + v:
+        if not 0 <= x < field.q:
+            raise DomainError(f"entry {x} not a valid index for {field!r}")
+    if not any(phi) or not any(v):
+        raise DomainError("phi and v must both be nonzero")
+    return phi, v
 
 
 def _check_solution(field: Fq, phi: tuple, v: tuple, flat: tuple, n: int):
@@ -63,66 +75,32 @@ def _check_solution(field: Fq, phi: tuple, v: tuple, flat: tuple, n: int):
 
 def _solve(field: Fq, phi: tuple, v: tuple) -> list[list[int]]:
     n = len(phi)
-    b1, phi1 = phi[0], phi[1:]
-    a1, v1 = v[0], v[1:]
-
-    if n == 1:
-        return [[field.div(a1, b1)]]
-
-    if not any(phi1):
-        # b1 != 0; c and r1 forced, A chosen to keep B invertible
-        c = field.div(a1, b1)
-        r1 = tuple(field.div(x, b1) for x in v1)
-        rows = [[c] + list(r1)]
-        if any(r1):
-            j0 = next(i for i, x in enumerate(r1) if x)
-        else:
-            j0 = None  # a1 != 0 here, plain identity block works
-        for i in range(n - 1):
-            arow = [1 if (i == j and i != j0) else 0 for j in range(n - 1)]
-            rows.append([r1[i]] + arow)
-        return rows
-
-    if not any(v1) or (a1 == 0 and b1 != 0):
-        # B^-1 v = phi: solve the swapped instance and invert
-        swapped = _solve(field, v, phi)
-        flat = tuple(x for row in swapped for x in row)
-        inv = inverse_flat(flat, n, field)
-        return [list(inv[i * n:(i + 1) * n]) for i in range(n)]
-
-    if b1 == 0:
-        a_block = _solve(field, phi1, v1)
-        j0 = next(i for i, x in enumerate(phi1) if x)
-        r1 = [0] * (n - 1)
-        r1[j0] = field.div(a1, phi1[j0])
-        for c in (0, 1):
-            rows = [[c] + r1]
-            for i in range(n - 1):
-                rows.append([r1[i]] + a_block[i])
-            m = MatFq.from_rows(field, rows)
-            if m.det() != 0:
-                return rows
-        raise InternalCheckError(
-            "both corner candidates 0 and 1 give a singular matrix for "
-            f"phi={phi}, v={v} over F_{field.q}; this falsifies the "
-            "construction and must be reported")
-
-    a_block = _solve(field, phi1, v1)
-    c = field.div(a1, b1)
-    rows = [[c] + [0] * (n - 1)]
-    for i in range(n - 1):
-        rows.append([0] + a_block[i])
-    return rows
+    add, mul, div = field.add, field.mul, field.div
+    j = next(i for i, x in enumerate(v) if x)
+    c = vec_dot(field, v, phi)
+    if c:
+        b = [[div(mul(x, y), c) for y in v] for x in v]
+        pivot, scale = v, c
+    else:
+        m = next(i for i, x in enumerate(phi) if x and i != j)
+        b = [[0] * n for _ in range(n)]
+        for i in range(n):
+            b[i][m] = b[m][i] = div(v[i], phi[m])
+        b[m][m] = div(add(v[m], v[m]), phi[m])
+        pivot, scale = [int(i == m) for i in range(n)], phi[m]
+    for i in range(n):
+        if i == j:
+            continue  # w_m is 0 in the second case
+        t = field.neg(div(phi[i], scale))
+        w = [add(int(k == i), mul(t, pivot[k])) for k in range(n)]
+        for r in range(n):
+            b[r] = [add(b[r][s], mul(w[r], w[s])) for s in range(n)]
+    return b
 
 
 def solve_symmetric(field: Fq, phi: tuple, v: tuple) -> MatFq:
     """Symmetric invertible B with B*phi = v, for nonzero phi and v."""
-    phi = tuple(phi)
-    v = tuple(v)
-    if len(phi) != len(v) or not phi:
-        raise DomainError("phi and v must be nonempty vectors of equal length")
-    if not any(phi) or not any(v):
-        raise DomainError("phi and v must both be nonzero")
+    phi, v = _check_input(field, phi, v)
     rows = _solve(field, phi, v)
     flat = tuple(x for row in rows for x in row)
     return _check_solution(field, phi, v, flat, len(phi))
@@ -172,13 +150,8 @@ def _symmetric_stock(field: Fq, n: int) -> np.ndarray:
 
 def oracle_symmetric(field: Fq, phi: tuple, v: tuple) -> MatFq | None:
     """First (canonical order) symmetric invertible B with B*phi = v."""
-    phi = tuple(phi)
-    v = tuple(v)
+    phi, v = _check_input(field, phi, v)
     n = len(phi)
-    if len(v) != n or not phi:
-        raise DomainError("phi and v must be nonempty vectors of equal length")
-    if not any(phi) or not any(v):
-        raise DomainError("phi and v must both be nonzero")
     if field.q ** (n * (n + 1) // 2) > ORACLE_SEARCH_CAP:
         raise CapExceededError(
             f"oracle search space q^(n(n+1)/2) exceeds {ORACLE_SEARCH_CAP}")

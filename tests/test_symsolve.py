@@ -6,7 +6,7 @@ import pytest
 
 from gelfand.errors import CapExceededError, DomainError
 from gelfand.field import build_field, field_from_q
-from gelfand.matrix import MatFq, mat_vec
+from gelfand.matrix import MatFq, mat_vec, vec_dot
 from gelfand.symsolve import (ORACLE_SEARCH_CAP, _symmetric_stock,
                               oracle_symmetric, solve_symmetric)
 
@@ -58,6 +58,21 @@ def test_zero_vectors_rejected(f3):
         oracle_symmetric(f3, (0, 0), (1, 0))
 
 
+@pytest.mark.parametrize("phi,v,entry", [((5, 0), (1, 0), 5),
+                                          ((1, 0), (0, 7), 7)])
+def test_solver_refuses_entries_outside_the_field(f3, phi, v, entry):
+    with pytest.raises(DomainError, match=f"entry {entry} not a valid index"):
+        solve_symmetric(f3, phi, v)
+
+
+@pytest.mark.parametrize("phi,v,entry", [((5, 0), (1, 0), 5),
+                                          ((1, 0), (0, 7), 7)])
+def test_oracle_refuses_entries_outside_the_field(f3, phi, v, entry):
+    # (0, 7) used to read as "no transporter exists"
+    with pytest.raises(DomainError, match=f"entry {entry} not a valid index"):
+        oracle_symmetric(f3, phi, v)
+
+
 def test_oracle_cap():
     f7 = build_field(7, 1)
     with pytest.raises(CapExceededError):
@@ -65,7 +80,8 @@ def test_oracle_cap():
 
 
 # ---------------------------------------------------------
-# dispatch corners
+# regression inputs from the old five-case split (the corners of its
+# recursion on the first coordinate)
 # ---------------------------------------------------------
 
 def test_case_b1_zero(f3):
@@ -119,6 +135,31 @@ def test_solver_over_f4(f4):
             b = solve_symmetric(f4, phi, v)
             assert oracle_symmetric(f4, phi, v) is not None
             assert mat_vec(b, phi) == v
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 4), (8, 2), (9, 2)])
+def test_solver_postconditions_past_the_oracle_grid(q, n):
+    field = field_from_q(q)
+    vecs = nonzero_vectors(field, n)
+    for phi in vecs:
+        for v in vecs:
+            b = solve_symmetric(field, phi, v)  # postconditions self-checked
+            assert mat_vec(b, phi) == v
+
+
+def test_f3_reaches_both_branches(f3):
+    vecs = nonzero_vectors(f3, 2)
+    by_branch = {True: 0, False: 0}
+    for phi in vecs:
+        for v in vecs:
+            solve_symmetric(f3, phi, v)
+            by_branch[vec_dot(f3, v, phi) == 0] += 1
+    # each nonzero phi has 2 nonzero v with v^T phi = 0
+    assert by_branch == {True: 16, False: 48}
+    # c = 0: (e_0 v^T + v e_0^T) / phi_0 with j = 1, m = 0, no w_i
+    assert solve_symmetric(f3, (1, 0), (0, 1)).to_rows() == [[0, 1], [1, 0]]
+    # c = 1: v v^T + w_1 w_1^T with j = 0, w_1 = e_1 - v = (2, 1)
+    assert solve_symmetric(f3, (1, 1), (1, 0)).to_rows() == [[2, 2], [2, 1]]
 
 
 # ---------------------------------------------------------
