@@ -11,7 +11,7 @@ from .matrix import (MatFq, format_matrix, format_vector, mat_vec,
                      parse_matrix, parse_vector, vec_dot)
 from .groups import (Embedding, GroupTable, embed_identity, embed_standard,
                      enumerate_gl, enumerate_o, gl_order)
-from .cosets import (DoubleCosetDecomposition, InvolutionAction, count_nonfixed,
+from .cosets import (DoubleCosetDecomposition, InvolutionAction,
                      double_cosets, involution_action)
 from .symsolve import oracle_symmetric, solve_symmetric
 from .reflections import sphere_points, swap_element
@@ -30,8 +30,8 @@ __all__ = [
     "parse_vector", "vec_dot",
     "Embedding", "GroupTable", "embed_identity", "embed_standard",
     "enumerate_gl", "enumerate_o", "gl_order",
-    "DoubleCosetDecomposition", "InvolutionAction", "count_nonfixed",
-    "double_cosets", "involution_action",
+    "DoubleCosetDecomposition", "InvolutionAction", "double_cosets",
+    "involution_action",
     "oracle_symmetric", "solve_symmetric",
     "sphere_points", "swap_element",
     "CharacterTable", "ConjClasses", "InvariantReport", "VerificationOutcome",

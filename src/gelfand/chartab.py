@@ -13,8 +13,9 @@ primitive m-th root of unity, so every character value reduces to a
 residue; the second makes every integer quantity we report (degrees,
 invariant dimensions, coset counts) recoverable from its residue by
 lifting into a stated interval.  So the element orders come first, before
-any walk over the group: the class reps' powers t, t^2, ..., t^(2^j) by
-batched doubling (``mul_batch``), until each reaches the identity.
+any walk over the group: every class rep's powers t, t^2, ..., t^(2^j),
+doubled by one ``mul_batch`` a round, until each rep has a power equal to
+the identity row.
 
 The table itself comes from the class algebra.  With class sums z_i and
 structure constants a_ijm (z_i z_j = sum_m a_ijm z_m), the vector
@@ -26,8 +27,8 @@ by one walk over the right-regular rows x -> x t of the class reps
 (``GroupTable.right_rows``, gathers along the Schreier tree; Dixon-Schneider,
 G. Schneider, J. Symbolic Comput. 9, 1990).  Column m is a ``bincount`` of
 the classes of u t_m weighted by s^(class of u^-1), in float64, exact while
-|G| (l - 1) < 2^53.  The first walk also reads the element orders off the
-rows, a second route to the powers, and one of its rows is recomputed by
+|G| (l - 1) < 2^53.  Every walk also reads the element orders off the
+rows, a second route to the powers, and recomputes one of its rows by
 ``GroupTable.perm``.
 
 The identity-class unit vector u has a nonzero component d_chi^2/|G| on
@@ -60,7 +61,7 @@ import numpy as np
 
 from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import is_prime
-from .groups import Embedding, GroupTable, encode, number_orbits, orbits
+from .groups import Embedding, GroupTable, number_orbits, orbits
 # perfbench/tracing.py counts group-element products through this name in
 # every module that loops over a group, so the import stays.
 from .matrix import format_matrix, mul_batch, mul_flat  # noqa: F401
@@ -108,50 +109,42 @@ def element_order(g: GroupTable, i: int) -> int:
 
 def power_orders(g: GroupTable, ids) -> list[int]:
     """Orders of the elements t of ``ids`` by batched doubling: from the
-    powers t, ..., t^(2^j) of every t not yet seen at the identity, one
-    ``mul_batch`` by t^(2^j) gives t^(2^j + 1), ..., t^(2^(j+1)); t's order
-    is the exponent of its first power with the identity's code."""
+    powers t, ..., t^(2^j) of every t, one ``mul_batch`` by t^(2^j) gives
+    t^(2^j + 1), ..., t^(2^(j+1)), until every t has a power equal to the
+    identity row; t's order is the exponent of its first one."""
     n = g.n
-    identity_code = g.codes[g.identity_id]
-    ids = np.asarray(ids, dtype=np.int64)
-    order = np.zeros(len(ids), dtype=np.int64)
-    live = np.arange(len(ids))
+    ids = np.asarray(ids)
     powers = g.mat[ids][:, None]  # powers[i, e - 1] = t_i^e, e <= 2^j
-    new, done = powers, 0  # new[i, e] = t_i^(done + 1 + e)
     while True:
-        hits = encode(new.reshape(-1, n * n), g.field.q).reshape(
-            new.shape[:2]) == identity_code
+        hits = (powers == g.mat[g.identity_id]).all(2)
         found = hits.any(1)
-        order[live[found]] = done + 1 + hits[found].argmax(1)
-        live, powers = live[~found], powers[~found]
-        if not live.size:
-            return order.tolist()
-        done = powers.shape[1]
-        if done >= g.order:
+        if found.all():
+            return (hits.argmax(1) + 1).tolist()
+        if powers.shape[1] >= g.order:
             raise InternalCheckError(
-                f"powers of {format_matrix(g.element(int(ids[live[0]])))} "
+                f"powers of {format_matrix(g.element(ids[found.argmin()]))} "
                 "never reach the identity")
-        new = mul_batch(np.repeat(powers[:, -1], done, axis=0),
-                        powers.reshape(-1, n * n), n, g.field
-                        ).reshape(powers.shape)
-        powers = np.concatenate([powers, new], axis=1)
+        new = mul_batch(np.repeat(powers[:, -1], powers.shape[1], axis=0),
+                        powers.reshape(-1, n * n), n, g.field)
+        powers = np.concatenate([powers, new.reshape(powers.shape)], axis=1)
 
 
 def _block_orders(g: GroupTable, rows: np.ndarray) -> list[int]:
     """Orders of the elements t whose rows x -> x t form the block: t^(m+1)
-    is t's row read at t^m, until every power reaches the identity."""
+    is t's row read at t^m, until the power reaches the identity.  One
+    scalar step at a time: blocks of big groups hold a single row, where
+    array steps over the block cost more than the whole walk."""
     e = g.identity_id
-    cur = rows[:, e].copy()  # t itself
-    order = np.ones(len(cur), dtype=np.int64)
-    live = np.flatnonzero(cur != e)
-    while live.size:
-        if order[live[0]] >= g.order:
-            raise InternalCheckError("element powers never reach the "
-                                     "identity; right rows are wrong")
-        cur[live] = rows[live, cur[live]]
-        order[live] += 1
-        live = live[cur[live] != e]
-    return order.tolist()
+    orders = []
+    for row in rows:
+        cur, m = row[e], 1  # t itself
+        while cur != e:
+            if m >= g.order:
+                raise InternalCheckError("element powers never reach the "
+                                         "identity; right rows are wrong")
+            cur, m = row[cur], m + 1
+        orders.append(m)
+    return orders
 
 
 # -- the modulus l and roots of unity ------------------------------------------
@@ -340,7 +333,7 @@ class CharacterTable:
 
 
 def _separator(g: GroupTable, classes: ConjClasses, l: int, s: int,
-               orders: list[int] | None = None) -> np.ndarray:
+               orders: list[int]) -> np.ndarray:
     """N_s = sum_i s^i N_i mod l for the class matrices N_i[j, m] =
     #{(x, y) in C_i x C_j : x y = t_m}, from one walk over the reps'
     right-regular rows.
@@ -348,9 +341,9 @@ def _separator(g: GroupTable, classes: ConjClasses, l: int, s: int,
     The pairs are (u^-1, u t_m) for u in G, so column m counts the classes
     of row t_m's entries u t_m, each weighted by s^(class of u^-1): one
     float64 ``bincount`` per row, exact while |G| (l - 1) < 2^53.
-    The first block's last row is also made by ``GroupTable.perm``, checked
-    first; with ``orders`` given, the orders read off the rows must equal
-    them."""
+    Every walk checks its rows two ways first: the first block's last row
+    against ``GroupTable.perm``, and the reps' orders read off the rows
+    against ``orders``, found by true products (``power_orders``)."""
     k = classes.count
     class_of = classes.class_of
     power = np.array([pow(s, i, l) for i in range(k)])  # s^i mod l
@@ -364,13 +357,12 @@ def _separator(g: GroupTable, classes: ConjClasses, l: int, s: int,
             raise InternalCheckError("right-regular row of class rep "
                                      f"{format_matrix(g.element(rep))} "
                                      "differs from its batched product")
-        if orders is not None:
-            for i, o in enumerate(_block_orders(g, rows), m):
-                if o != orders[i]:
-                    rep = format_matrix(g.element(classes.reps[i]))
-                    raise InternalCheckError(
-                        f"class rep {rep} has order {orders[i]} by powers "
-                        f"but {o} along its right row")
+        for i, o in enumerate(_block_orders(g, rows), m):
+            if o != orders[i]:
+                rep = format_matrix(g.element(classes.reps[i]))
+                raise InternalCheckError(
+                    f"class rep {rep} has order {orders[i]} by powers "
+                    f"but {o} along its right row")
         for row in rows:
             n_s[:, m] = np.bincount(class_of.take(row), weights=w,
                                     minlength=k) % l
@@ -436,17 +428,9 @@ def character_table(g: GroupTable, classes: ConjClasses,
     primitive = _smallest_primitive_root(l)
     root = pow(primitive, (l - 1) // exponent, l)
 
-    # one normalised central character w per row; the first walk also
-    # checks the element orders along the rows
-    walked = []
-
-    def separator(s: int) -> np.ndarray:
-        n_s = _separator(g, classes, l, s, None if walked else orders)
-        walked.append(s)
-        return n_s
-
-    w = _split_eigenspaces(separator, k, l, primitive,
-                           classes.class_of[g.identity_id]).T
+    # one normalised central character w per row
+    w = _split_eigenspaces(lambda s: _separator(g, classes, l, s, orders), k,
+                           l, primitive, classes.class_of[g.identity_id]).T
     inv_sizes = np.array([pow(s, -1, l) for s in classes.sizes])
     denoms = (w * w[:, classes.inverse_class] % l * inv_sizes % l).sum(1) % l
     sqrt_cap = math.isqrt(order)
@@ -564,7 +548,6 @@ class IrrepInvariants:
 class InvariantReport:
     rows: list[IrrepInvariants]
     max_dim_inv: int
-    histogram: dict[int, int]
 
     @property
     def dual_dims_match(self) -> bool:
@@ -593,11 +576,7 @@ def dim_invariants(t: CharacterTable, emb: Embedding) -> InvariantReport:
                     f"invariant dimension residue {r} lifts outside "
                     f"[0, {degree}]; the table is broken")
         rows.append(IrrepInvariants(degree, dim, dim_dual))
-    max_dim = max(r.dim_inv for r in rows)
-    hist: dict[int, int] = {}
-    for r in rows:
-        hist[r.dim_inv] = hist.get(r.dim_inv, 0) + 1
-    return InvariantReport(rows, max_dim, hist)
+    return InvariantReport(rows, max(r.dim_inv for r in rows))
 
 
 # -- the headline bound check ------------------------------------------------------

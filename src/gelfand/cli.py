@@ -24,7 +24,7 @@ from .field import field_from_q
 from .groups import DEFAULT_GROUP_CAP, embed_standard
 from .matrix import MatFq, format_matrix, mat_vec, parse_vector
 from .pipeline import (check_table_fits, default_points, enumerate_group,
-                       run_sweep, run_verify)
+                       make_cache_dir, run_sweep, run_verify)
 from .reflections import swap_element
 from .symsolve import solve_symmetric
 from . import __version__
@@ -140,6 +140,7 @@ def cmd_swap_reflection(args) -> int:
 
 
 def cmd_chartab(args) -> int:
+    make_cache_dir(args.cache_dir)
     field = field_from_q(args.q)
     check_table_fits(args.type, args.n, field)
     table = enumerate_group(args.type, args.n, field, args.cap_group_order)
@@ -223,7 +224,7 @@ def cmd_sweep(args) -> int:
     else:
         points = default_points(args.kind)
     summary = run_sweep(points, args.out_dir, cap=args.cap_group_order,
-                        cache_dir=args.cache_dir, jobs=args.threads or 0)
+                        cache_dir=args.cache_dir, jobs=args.threads)
     if args.json:
         print(json.dumps(summary.to_json_dict(), sort_keys=True, indent=1))
     else:

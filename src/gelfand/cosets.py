@@ -54,7 +54,7 @@ class InvolutionAction:
     decomp: DoubleCosetDecomposition
     perm: list[int]
     fixed_count: int
-    nonfixed_count: int
+    nonfixed_count: int  # the 2k of the weak-pair bound dim <= k + 1
 
     @property
     def k(self) -> int:
@@ -134,11 +134,6 @@ def involution_action(d: DoubleCosetDecomposition) -> InvolutionAction:
     if nonfixed % 2:
         raise InternalCheckError("odd number of non-fixed double cosets")
     return InvolutionAction(d, perm, fixed, nonfixed)
-
-
-def count_nonfixed(a: InvolutionAction) -> int:
-    """The 2k of the weak-pair bound dim <= k+1."""
-    return a.nonfixed_count
 
 
 def classify_nonfixed_gl(a: InvolutionAction) -> list[str]:

@@ -124,6 +124,18 @@ def check_table_fits(kind: str, n: int, field: Fq) -> None:
             "an exact character table")
 
 
+def make_cache_dir(cache_dir: str | Path | None) -> None:
+    """Create the character table cache directory, or refuse it as a usage
+    error when it cannot be created, before any group is enumerated."""
+    if cache_dir is None:
+        return
+    try:
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"cache directory {str(cache_dir)!r} cannot be "
+                          f"created: {exc.strerror}") from None
+
+
 def run_verify(kind: str, n: int, q: int, *,
                cap: int = DEFAULT_GROUP_CAP,
                cache_dir: str | Path | None = None) -> VerificationReport:
@@ -141,6 +153,7 @@ def run_verify(kind: str, n: int, q: int, *,
         timings[name] = round(time.perf_counter() - t0, 6)
         return result
 
+    make_cache_dir(cache_dir)
     field = staged("field", lambda: field_from_q(q))
     check_table_fits(kind, n + 1, field)
     big = staged("enumerate_group",
@@ -363,7 +376,12 @@ def run_sweep(points: list[tuple[str, int, int]] | None = None,
     dies breaks the pool for every point still running or queued in it, so
     each point whose future raised runs once more, alone in a fresh pool.
     Only a point lost there too becomes an internal error row; points that
-    finished keep their rows and reports."""
+    finished keep their rows and reports.  A negative jobs or a cache_dir
+    that cannot be created is refused before any point runs."""
+    if jobs < 0:
+        raise DomainError("sweep worker count must be >= 0 (0 = auto), "
+                          f"got {jobs}")
+    make_cache_dir(cache_dir)
     if points is None:
         points = default_points()
     tasks = [(kind, n, q, cap, cache_dir) for kind, n, q in points]
@@ -371,8 +389,8 @@ def run_sweep(points: list[tuple[str, int, int]] | None = None,
         rows = [_sweep_row(_sweep_point(t), out_dir) for t in tasks]
     else:
         rows = [None] * len(tasks)
-        lost = _pool_rows(tasks, range(len(tasks)), jobs if jobs > 0 else None,
-                          rows, out_dir)
+        lost = _pool_rows(tasks, range(len(tasks)), jobs or None, rows,
+                          out_dir)
         for i in sorted(lost):
             for exc in _pool_rows(tasks, [i], 1, rows, out_dir).values():
                 kind, n, q = tasks[i][:3]

@@ -94,9 +94,11 @@ def test_exponent_and_element_orders():
     assert math.lcm(*power_orders(g, classes.reps)) == 6
 
 
+# GL2(F7) and GL2(F8) reach orders 48 and 63, past five doublings
 @pytest.mark.parametrize("kind,n,q", [("gl", 2, 3), ("gl", 2, 4),
                                       ("gl", 3, 2), ("o", 3, 3),
-                                      ("gl", 1, 25)])
+                                      ("gl", 1, 25), ("gl", 2, 7),
+                                      ("gl", 2, 8)])
 def test_power_orders_equal_element_orders(kind, n, q):
     g, classes = build(kind, n, q)
     assert power_orders(g, classes.reps) == \
@@ -279,8 +281,9 @@ def test_structure_constants_total_mass():
             total = sum(a[i][j][m] * h[m] for m in range(k))
             assert total == h[i] * h[j]
     l = 13
+    orders = power_orders(g, classes.reps)
     for s in (2, 3):
-        n_s = _separator(g, classes, l, s)
+        n_s = _separator(g, classes, l, s, orders)
         for j in range(k):
             assert sum(int(n_s[j, m]) * h[m] for m in range(k)) % l == \
                 sum(pow(s, i, l) * h[i] * h[j] for i in range(k)) % l
@@ -293,9 +296,10 @@ def test_walked_separators_equal_the_weighted_tensor_sums(kind, n, q):
     g, classes = build(kind, n, q)
     a = reference_tensor(g, classes)
     l = character_table(g, classes).l
+    orders = power_orders(g, classes.reps)
     for s in (2, 3):
         weights = np.array([pow(s, i, l) for i in range(classes.count)])
-        assert np.array_equal(_separator(g, classes, l, s),
+        assert np.array_equal(_separator(g, classes, l, s, orders),
                               np.tensordot(weights, a, axes=1) % l)
 
 
@@ -347,6 +351,26 @@ def test_one_walk_over_the_class_rows_per_separator(monkeypatch, kind, n, q,
     assert walks == [classes.reps] * separators
 
 
+def test_every_walk_checks_the_orders(monkeypatch):
+    # GL2(F3): s = 2 collides, so s = 3 walks again; each walk is one block
+    g, classes = build("gl", 2, 3)
+    walks, checks = [], []
+    right_rows, block_orders = g.right_rows, chartab._block_orders
+
+    def walked(ids):
+        walks.append(len(ids))
+        return right_rows(ids)
+
+    def checked(g, rows):
+        checks.append(len(rows))
+        return block_orders(g, rows)
+
+    monkeypatch.setattr(g, "right_rows", walked)
+    monkeypatch.setattr(chartab, "_block_orders", checked)
+    character_table(g, classes)
+    assert walks == checks == [classes.count] * 2
+
+
 # ---------------------------------------------------------
 # central characters from the separating element
 # ---------------------------------------------------------
@@ -359,8 +383,9 @@ def test_every_vector_is_a_common_eigenvector(kind, n, q):
     a = reference_tensor(g, classes)
     e_cls = classes.class_of[g.identity_id]
     k = classes.count
-    w = _split_eigenspaces(lambda s: _separator(g, classes, l, s), k, l,
-                           _smallest_primitive_root(l), e_cls)
+    orders = power_orders(g, classes.reps)
+    w = _split_eigenspaces(lambda s: _separator(g, classes, l, s, orders), k,
+                           l, _smallest_primitive_root(l), e_cls)
     assert w.shape == (k, k)
     assert np.all(w[e_cls] == 1)
     assert len({tuple(col) for col in w.T.tolist()}) == k
@@ -449,7 +474,7 @@ def test_inverses_that_disagree_with_the_inverse_classes_raise():
     g, classes = build("gl", 1, 5)
     g._inverse_ids = np.arange(g.order, dtype=np.int32)  # u^-1 = u
     with pytest.raises(InternalCheckError, match="inverse-class identity"):
-        _separator(g, classes, 13, 2)
+        _separator(g, classes, 13, 2, power_orders(g, classes.reps))
 
 
 def test_rref_matches_a_reduce_every_step_reference():
@@ -511,7 +536,7 @@ def test_trivial_subgroup_dims_are_degrees(f2):
     assert [(r.degree, r.dim_inv) for r in report.rows] == \
         [(1, 1), (1, 1), (2, 2)]
     assert report.max_dim_inv == 2
-    assert report.histogram == {1: 2, 2: 1}
+    assert Counter(r.dim_inv for r in report.rows) == {1: 2, 2: 1}
 
 
 def test_self_pair_dims():

@@ -404,6 +404,44 @@ def test_a_group_too_large_for_a_table_is_refused_unenumerated(monkeypatch,
             capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--kind", "gl", "--n", "1", "--q", "3"],
+    ["chartab", "--type", "gl", "--n", "2", "--q", "3"],
+    ["sweep", "--points", "gl:2:2,gl:2:3", "--threads", "1"],
+])
+@pytest.mark.parametrize("from_env", [False, True])
+def test_a_cache_dir_that_cannot_be_made_is_refused_unenumerated(
+        argv, from_env, tmp_path, monkeypatch, capsys):
+    from gelfand import pipeline
+    enumerated = []
+
+    def count(*args, **kwargs):
+        enumerated.append(args)
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(pipeline, "enumerate_gl", count)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    bad = blocker / "cache"  # under a regular file
+    if from_env:
+        monkeypatch.setenv("GELFAND_CACHE_DIR", str(bad))
+        assert main(argv) == 2
+    else:
+        assert main(argv + ["--cache-dir", str(bad)]) == 2
+    assert f"cache directory '{bad}' cannot be created" in \
+        capsys.readouterr().err
+    assert enumerated == []
+
+
+def test_a_negative_thread_count_is_refused(capsys):
+    from gelfand.errors import DomainError
+    # one point runs in process: an accepted count would exit 0
+    assert main(["sweep", "--points", "gl:2:2", "--threads", "-1"]) == 2
+    assert "worker count must be >= 0" in capsys.readouterr().err
+    with pytest.raises(DomainError, match="got -3"):
+        run_sweep([("gl", 1, 2)], jobs=-3)
+
+
 def test_a_cache_file_missing_a_key_is_recomputed_by_verify_and_sweep(
         tmp_path, capsys):
     assert main(["verify", "--kind", "gl", "--n", "1", "--q", "3",

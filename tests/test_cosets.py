@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gelfand.cosets import (DoubleCosetDecomposition, classify_nonfixed_gl,
-                            count_nonfixed, double_cosets, involution_action)
+                            double_cosets, involution_action)
 from gelfand.errors import InternalCheckError
 from gelfand.groups import (embed_identity, embed_standard, enumerate_gl,
                             enumerate_o, orbits)
@@ -171,7 +171,7 @@ def test_gl2_f2_involution_detail(f2):
     d = double_cosets(g, emb, mod_center=True)
     a = involution_action(d)
     assert (a.fixed_count, a.nonfixed_count, a.k) == (4, 2, 1)
-    assert count_nonfixed(a) == 2
+    assert a.nonfixed_count == 2
     # the fixed cosets are exactly the symmetric elements here (all cosets
     # are singletons since H and the center are trivial)
     for c in range(d.count):
@@ -199,7 +199,7 @@ def test_self_pair_has_one_coset(f3):
     g = enumerate_gl(2, f3)
     a = involution_action(double_cosets(g, embed_identity(g), mod_center=True))
     assert a.decomp.count == 1
-    assert count_nonfixed(a) == 0
+    assert a.nonfixed_count == 0
 
 
 def test_perm_is_an_involution(f3):
