@@ -4,6 +4,17 @@ action, the symmetric-matrix transporter solver, sphere-swapping reflections,
 and complex character tables computed by the modular (mod-l) method.
 """
 
+import os
+import sys
+
+# gelfand never calls BLAS: every @ has int16 or int64 operands, which run on
+# numpy's own loops, and float64 only appears as bincount weights.  So numpy
+# starts without OpenBLAS's worker pool, unless the caller chose a count.
+if "numpy" not in sys.modules and not (
+        {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+        & os.environ.keys()):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .errors import (CapExceededError, DomainError, InternalCheckError,
                      SingularMatrixError)
 from .field import Fq, Scalar, build_field, field_from_q

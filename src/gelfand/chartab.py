@@ -594,6 +594,7 @@ def verify_pair(table: CharacterTable, invariants: InvariantReport,
                 k: int) -> VerificationOutcome:
     """Check max dim pi^H against k+1 and the kind-specific bound (2 or 1)."""
     kind = table.group.kind
+    # on GL, k + 1 = 2 binds first; the 2 stays as a guard against a wrong k
     kind_bound = 2 if kind == "GL" else 1
     failures = []
     for idx, row in enumerate(invariants.rows):

@@ -41,7 +41,9 @@ def _common_flags(p: argparse.ArgumentParser):
 
 
 def _cache_flag(p: argparse.ArgumentParser):
-    p.add_argument("--cache-dir", default=os.environ.get("GELFAND_CACHE_DIR"),
+    # empty means unset, in the flag and the variable: Path("") would be "."
+    p.add_argument("--cache-dir", type=lambda s: s or None,
+                   default=os.environ.get("GELFAND_CACHE_DIR") or None,
                    help="character table cache directory "
                         "(default: $GELFAND_CACHE_DIR)")
 

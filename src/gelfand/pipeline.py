@@ -189,10 +189,11 @@ def run_verify(kind: str, n: int, q: int, *,
                 f"expected 2 transpose-non-fixed mod-center cosets, got "
                 f"{act_mc.nonfixed_count}")
         checks["lemma_3_1"] = lemma_ok
-        checks["corollary_3_3"] = outcome.passed and invariants.max_dim_inv <= 2
+        checks["corollary_3_3"] = outcome.passed
     else:
+        # verify_pair already holds every dim_inv to min(k + 1, 1)
         theorem_ok = (k == 0 and act_plain.nonfixed_count == 0
-                      and outcome.passed and invariants.max_dim_inv <= 1)
+                      and outcome.passed)
         if not theorem_ok and not outcome.failures:
             failures.append(
                 f"transpose moved some double coset: k = {k}, plain "

@@ -254,6 +254,21 @@ def test_cli_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "chartab-gl2-q2-v1.json").is_file()
 
 
+@pytest.mark.parametrize("from_env", [False, True])
+def test_an_empty_cache_dir_is_unset(from_env, tmp_path, capsys,
+                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--kind", "gl", "--n", "1", "--q", "2"]
+    if from_env:
+        monkeypatch.setenv("GELFAND_CACHE_DIR", "")
+    else:
+        monkeypatch.delenv("GELFAND_CACHE_DIR", raising=False)
+        argv += ["--cache-dir", ""]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert list(tmp_path.glob("chartab-*.json")) == []
+
+
 def test_cli_sweep_empty_points(capsys):
     assert main(["sweep", "--points", ""]) == 0
     assert "0 points" in capsys.readouterr().out
