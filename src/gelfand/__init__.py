@@ -26,9 +26,8 @@ from .cosets import (DoubleCosetDecomposition, InvolutionAction,
                      double_cosets, involution_action)
 from .symsolve import oracle_symmetric, solve_symmetric
 from .reflections import sphere_points, swap_element
-from .chartab import (CharacterTable, ConjClasses, InvariantReport,
-                      VerificationOutcome, character_table, conjugacy_classes,
-                      dim_invariants, verify_pair)
+from .chartab import (CharacterTable, ConjClasses, character_table,
+                      conjugacy_classes, dim_invariants, verify_pair)
 from .pipeline import run_verify, run_sweep
 
 __version__ = "0.1.0"
@@ -45,7 +44,7 @@ __all__ = [
     "involution_action",
     "oracle_symmetric", "solve_symmetric",
     "sphere_points", "swap_element",
-    "CharacterTable", "ConjClasses", "InvariantReport", "VerificationOutcome",
-    "character_table", "conjugacy_classes", "dim_invariants", "verify_pair",
+    "CharacterTable", "ConjClasses", "character_table", "conjugacy_classes",
+    "dim_invariants", "verify_pair",
     "run_verify", "run_sweep",
 ]

@@ -130,10 +130,9 @@ def involution_action(d: DoubleCosetDecomposition) -> InvolutionAction:
         if perm[t] != c:
             raise InternalCheckError("coset transpose action is not an involution")
     fixed = sum(1 for c, t in enumerate(perm) if t == c)
-    nonfixed = d.count - fixed
-    if nonfixed % 2:
-        raise InternalCheckError("odd number of non-fixed double cosets")
-    return InvolutionAction(d, perm, fixed, nonfixed)
+    # the involution check pairs every non-fixed coset with its image, so
+    # the non-fixed count is even
+    return InvolutionAction(d, perm, fixed, d.count - fixed)
 
 
 def classify_nonfixed_gl(a: InvolutionAction) -> list[str]:

@@ -22,24 +22,30 @@ from .errors import DomainError, SingularMatrixError
 from .field import Fq, Scalar
 
 
-def mul_flat(a: tuple, b: tuple, n: int, field: Fq) -> tuple:
-    """Product of two flat n x n entry tuples, one element at a time: the
-    reference behind ``GroupTable.mul_ids``, and the call that perfbench
-    counts as a group-element product."""
+def _mul_entries(a, b, rows: int, inner: int, cols: int, field: Fq) -> tuple:
+    """Product of flat row-major rows x inner and inner x cols entry
+    sequences, one entry at a time through the field's flat tables."""
     q = field.q
     addt = field._add
     mult = field._mul
     out = []
-    for i0 in range(0, n * n, n):
-        arow = a[i0:i0 + n]
-        for j in range(n):
+    for i0 in range(0, rows * inner, inner):
+        arow = a[i0:i0 + inner]
+        for j in range(cols):
             acc = 0
             bi = j
-            for r in range(n):
-                acc = addt[acc * q + mult[arow[r] * q + b[bi]]]
-                bi += n
+            for x in arow:
+                acc = addt[acc * q + mult[x * q + b[bi]]]
+                bi += cols
             out.append(acc)
     return tuple(out)
+
+
+def mul_flat(a: tuple, b: tuple, n: int, field: Fq) -> tuple:
+    """Product of two flat n x n entry tuples, one element at a time: the
+    reference behind ``GroupTable.mul_ids``, and the call that perfbench
+    counts as a group-element product."""
+    return _mul_entries(a, b, n, n, n, field)
 
 
 def mul_batch(a: np.ndarray, b: np.ndarray, n: int, field: Fq) -> np.ndarray:
@@ -181,16 +187,9 @@ class MatFq:
             raise DomainError(
                 f"dimension mismatch: {self.rows}x{self.cols} * "
                 f"{other.rows}x{other.cols}")
-        f = self.field
-        out = []
-        for i in range(self.rows):
-            arow = self.row(i)
-            for j in range(other.cols):
-                acc = 0
-                for r in range(self.cols):
-                    acc = f.add(acc, f.mul(arow[r], other.entries[r * other.cols + j]))
-                out.append(acc)
-        return MatFq(f, self.rows, other.cols, out)
+        return MatFq(self.field, self.rows, other.cols,
+                     _mul_entries(self.entries, other.entries, self.rows,
+                                  self.cols, other.cols, self.field))
 
     def transpose(self) -> "MatFq":
         return MatFq(self.field, self.cols, self.rows,

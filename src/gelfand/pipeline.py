@@ -174,11 +174,11 @@ def run_verify(kind: str, n: int, q: int, *,
     classes = staged("classes", lambda: conjugacy_classes(big))
     table = staged("character_table",
                    lambda: character_table(big, classes, cache_dir=cache_dir))
-    invariants = staged("invariants", lambda: dim_invariants(table, emb))
-    outcome = staged("verify", lambda: verify_pair(table, invariants, k))
+    rows = staged("invariants", lambda: dim_invariants(table, emb))
+    failures = staged("verify", lambda: verify_pair(table, rows, k))
 
     checks: dict[str, bool] = {}
-    failures = list(outcome.failures)
+    bound_ok = not failures
     if kind == "gl":
         lemma_ok = act_mc.nonfixed_count == 2
         if lemma_ok:
@@ -189,29 +189,29 @@ def run_verify(kind: str, n: int, q: int, *,
                 f"expected 2 transpose-non-fixed mod-center cosets, got "
                 f"{act_mc.nonfixed_count}")
         checks["lemma_3_1"] = lemma_ok
-        checks["corollary_3_3"] = outcome.passed
+        checks["corollary_3_3"] = bound_ok
     else:
         # verify_pair already holds every dim_inv to min(k + 1, 1)
-        theorem_ok = (k == 0 and act_plain.nonfixed_count == 0
-                      and outcome.passed)
-        if not theorem_ok and not outcome.failures:
+        theorem_ok = k == 0 and act_plain.nonfixed_count == 0 and bound_ok
+        if not theorem_ok and bound_ok:
             failures.append(
                 f"transpose moved some double coset: k = {k}, plain "
                 f"nonfixed = {act_plain.nonfixed_count}")
         checks["theorem_4_1"] = theorem_ok
 
-    mackey = sum(r.dim_inv ** 2 for r in invariants.rows)
+    mackey = sum(r.dim_inv ** 2 for r in rows)
     checks["mackey_sum"] = mackey == plain.count
     if not checks["mackey_sum"]:
         failures.append(f"sum of squared invariant dims {mackey} != plain "
                         f"double-coset count {plain.count}")
-    checks["dual_dims"] = invariants.dual_dims_match
+    checks["dual_dims"] = all(r.dim_inv == r.dim_dual_inv for r in rows)
     if not checks["dual_dims"]:
         failures.append("some irreducible has dim_inv != dim_dual_inv")
     checks["transpose_classes"] = transpose_preserves_classes(big, classes)
     if not checks["transpose_classes"]:
         failures.append("some element is not conjugate to its transpose")
 
+    max_dim_inv = max(r.dim_inv for r in rows)
     return VerificationReport(
         kind=kind, n=n, q=q,
         group_order=big.order,
@@ -224,10 +224,10 @@ def run_verify(kind: str, n: int, q: int, *,
         k=k,
         characters=[{"degree": r.degree, "dim_inv": r.dim_inv,
                      "dim_dual_inv": r.dim_dual_inv}
-                    for r in invariants.rows],
-        max_dim_inv=invariants.max_dim_inv,
-        bound=outcome.bound,
-        attained=outcome.attained,
+                    for r in rows],
+        max_dim_inv=max_dim_inv,
+        bound=k + 1,
+        attained=max_dim_inv == k + 1,
         checks=checks,
         passed=all(checks.values()),
         timings=timings,
@@ -320,31 +320,30 @@ def error_kind(exc: Exception) -> str:
     return "internal"
 
 
-def _sweep_point(args):
+def _sweep_point(args) -> tuple[SweepRow, VerificationReport | None]:
+    """A point's row and its report, None on an error; the caller writes
+    the report and sets the row's report_path."""
     kind, n, q, cap, cache_dir = args
     t0 = time.perf_counter()
     try:
         report = run_verify(kind, n, q, cap=cap, cache_dir=cache_dir)
     except Exception as exc:
-        return (kind, n, q, None, str(exc), error_kind(exc),
-                time.perf_counter() - t0)
-    return kind, n, q, report, None, None, time.perf_counter() - t0
-
-
-def _sweep_row(result, out_dir: str | Path | None) -> SweepRow:
-    """A point's row; its report goes to out_dir as soon as it is made."""
-    kind, n, q, report, error, why, seconds = result
-    if report is None:
-        return SweepRow(kind, n, q, passed=False, error=error,
-                        error_kind=why, seconds=round(seconds, 3))
-    path_str = None
-    if out_dir is not None:
-        path = Path(out_dir) / f"{kind}-n{n}-q{q}.json"
-        report.write(path)
-        path_str = str(path)
+        return SweepRow(kind, n, q, passed=False, error=str(exc),
+                        error_kind=error_kind(exc),
+                        seconds=round(time.perf_counter() - t0, 3)), None
     return SweepRow(kind, n, q, passed=report.passed, k=report.k,
                     max_dim_inv=report.max_dim_inv, bound=report.bound,
-                    seconds=round(seconds, 3), report_path=path_str)
+                    seconds=round(time.perf_counter() - t0, 3)), report
+
+
+def _write_report(row: SweepRow, report: VerificationReport | None,
+                  out_dir: str | Path | None) -> SweepRow:
+    """The point's row, its report written to out_dir as soon as it is made."""
+    if report is not None and out_dir is not None:
+        path = Path(out_dir) / f"{row.kind}-n{row.n}-q{row.q}.json"
+        report.write(path)
+        row.report_path = str(path)
+    return row
 
 
 def _pool_rows(tasks, indices, workers, rows, out_dir) -> dict:
@@ -362,7 +361,7 @@ def _pool_rows(tasks, indices, workers, rows, out_dir) -> dict:
             except Exception as exc:
                 lost[i] = exc
                 continue
-            rows[i] = _sweep_row(result, out_dir)
+            rows[i] = _write_report(*result, out_dir)
     return lost
 
 
@@ -387,17 +386,16 @@ def run_sweep(points: list[tuple[str, int, int]] | None = None,
         points = default_points()
     tasks = [(kind, n, q, cap, cache_dir) for kind, n, q in points]
     if jobs == 1 or len(tasks) <= 1:
-        rows = [_sweep_row(_sweep_point(t), out_dir) for t in tasks]
+        rows = [_write_report(*_sweep_point(t), out_dir) for t in tasks]
     else:
         rows = [None] * len(tasks)
         lost = _pool_rows(tasks, range(len(tasks)), jobs or None, rows,
                           out_dir)
         for i in sorted(lost):
             for exc in _pool_rows(tasks, [i], 1, rows, out_dir).values():
-                kind, n, q = tasks[i][:3]
-                rows[i] = _sweep_row(
-                    (kind, n, q, None, f"worker process failed: {exc!r}",
-                     "internal", 0.0), out_dir)
+                rows[i] = SweepRow(*tasks[i][:3], passed=False,
+                                   error=f"worker process failed: {exc!r}",
+                                   error_kind="internal")
     summary = SweepSummary(rows)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)

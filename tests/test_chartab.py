@@ -1,6 +1,7 @@
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -351,6 +352,18 @@ def test_one_walk_over_the_class_rows_per_separator(monkeypatch, kind, n, q,
     assert walks == [classes.reps] * separators
 
 
+def test_an_identity_class_with_two_elements_is_caught(monkeypatch):
+    g, _ = build("gl", 2, 3)
+    e = g.identity_id
+    swap = np.arange(g.order)
+    swap[[e, e + 1]] = swap[[e + 1, e]]
+    perms = g.conjugation_perms()
+    monkeypatch.setattr(g, "conjugation_perms", lambda: perms + [swap])
+    with pytest.raises(InternalCheckError,
+                       match="identity class is not a singleton"):
+        conjugacy_classes(g)
+
+
 def test_every_walk_checks_the_orders(monkeypatch):
     # GL2(F3): s = 2 collides, so s = 3 walks again; each walk is one block
     g, classes = build("gl", 2, 3)
@@ -417,6 +430,19 @@ def test_a_modulus_past_exact_integer_sums_is_refused(monkeypatch):
     assert walks == []  # refused before the walk
 
 
+@pytest.mark.parametrize("order,k,l,exact", [
+    (2 ** 26 - 1, 1, 2 ** 27 + 1, True),  # |G| (l - 1) = 2^53 - 2^27
+    (2 ** 26, 1, 2 ** 27 + 1, False),  # |G| (l - 1) = 2^53
+    (1, 1, 2 ** 31 - 1, True),  # (k + 1) l^2 < 2^63
+    (1, 1, 2 ** 31, False),  # (k + 1) l^2 = 2^63
+])
+def test_each_exact_sum_bound_holds_at_its_edge(order, k, l, exact):
+    # float64 holds every integer up to 2^53 and loses 2^53 + 1; int64 stops
+    # at 2^63 - 1
+    assert float(2 ** 53) + 1 == 2 ** 53
+    assert chartab._sums_exact(order, k, l) is exact
+
+
 def test_the_table_size_check_passes_gl5_f2_and_refuses_gl6_f2():
     from gelfand.groups import gl_order
     from gelfand.pipeline import check_table_fits
@@ -427,6 +453,43 @@ def test_the_table_size_check_passes_gl5_f2_and_refuses_gl6_f2():
     with pytest.raises(CapExceededError, match="too large") as info:
         check_table_fits("gl", 6, field_from_q(2))
     assert str(gl_order(6, 2)) in str(info.value)
+
+
+def test_a_krylov_space_past_its_part_is_caught(monkeypatch):
+    # GL2(F3): s = 2 leaves one part of two characters, so s = 3 splits
+    # parts that hold at most 2; a random matrix gives them more
+    g, classes = build("gl", 2, 3)
+    real = chartab._separator
+
+    def random_after_the_first(g, classes, l, s, orders):
+        n_s = real(g, classes, l, s, orders)
+        if s == 2:
+            return n_s
+        return np.random.default_rng(0).integers(0, l, n_s.shape)
+
+    monkeypatch.setattr(chartab, "_separator", random_after_the_first)
+    with pytest.raises(InternalCheckError, match="outgrows its part"):
+        character_table(g, classes)
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    # every central character times 3: GL2(F3)'s degree residues 1/9, 4/9
+    # and 16/9 mod 97 are not squares of integers
+    (lambda w, l: w * 3 % l, "degree lift failed"),
+    # every central character the first one: 8 equal admissible degrees,
+    # whose squares cannot sum to 48
+    (lambda w, l: np.repeat(w[:, :1], w.shape[1], axis=1),
+     "sum of squared degrees"),
+], ids=["lift", "sum-of-squares"])
+def test_a_wrong_degree_is_caught(corrupt, message, monkeypatch):
+    g, classes = build("gl", 2, 3)
+    real = chartab._split_eigenspaces
+    monkeypatch.setattr(
+        chartab, "_split_eigenspaces",
+        lambda separator, k, l, root, e: corrupt(
+            real(separator, k, l, root, e), l))
+    with pytest.raises(InternalCheckError, match=message):
+        character_table(g, classes)
 
 
 def test_no_separating_element_raises(monkeypatch):
@@ -532,20 +595,31 @@ def test_trivial_subgroup_dims_are_degrees(f2):
     g, classes = build("gl", 2, 2)
     t = character_table(g, classes)
     emb = embed_standard(enumerate_gl(1, f2), g)
-    report = dim_invariants(t, emb)
-    assert [(r.degree, r.dim_inv) for r in report.rows] == \
-        [(1, 1), (1, 1), (2, 2)]
-    assert report.max_dim_inv == 2
-    assert Counter(r.dim_inv for r in report.rows) == {1: 2, 2: 1}
+    rows = dim_invariants(t, emb)
+    assert [(r.degree, r.dim_inv) for r in rows] == [(1, 1), (1, 1), (2, 2)]
+    assert max(r.dim_inv for r in rows) == 2
+    assert Counter(r.dim_inv for r in rows) == {1: 2, 2: 1}
+
+
+def test_a_dim_inv_past_the_degree_is_caught(f2):
+    # all 2s in the trivial row give dim pi^H = 2 > degree 1
+    g, classes = build("gl", 2, 2)
+    t = character_table(g, classes)
+    values = [[2] * classes.count if set(row) == {1} else row
+              for row in t.values]
+    emb = embed_standard(enumerate_gl(1, f2), g)
+    with pytest.raises(InternalCheckError, match=re.escape(
+            "lifts outside [0, 1]")):
+        dim_invariants(replace(t, values=values), emb)
 
 
 def test_self_pair_dims():
     g, classes = build("gl", 2, 3)
     t = character_table(g, classes)
-    report = dim_invariants(t, embed_identity(g))
-    dims = Counter(r.dim_inv for r in report.rows)
+    rows = dim_invariants(t, embed_identity(g))
+    dims = Counter(r.dim_inv for r in rows)
     assert dims == {0: 7, 1: 1}
-    only_trivial = [r for r in report.rows if r.dim_inv == 1]
+    only_trivial = [r for r in rows if r.dim_inv == 1]
     assert only_trivial[0].degree == 1
 
 
@@ -553,9 +627,9 @@ def test_o3_over_o2_dims_at_most_one(f3):
     g, classes = build("o", 3, 3)
     t = character_table(g, classes)
     emb = embed_standard(enumerate_o(2, f3), g)
-    report = dim_invariants(t, emb)
-    assert set(r.dim_inv for r in report.rows) <= {0, 1}
-    assert report.dual_dims_match
+    rows = dim_invariants(t, emb)
+    assert set(r.dim_inv for r in rows) <= {0, 1}
+    assert all(r.dim_inv == r.dim_dual_inv for r in rows)
 
 
 @pytest.mark.parametrize("kind,n,q", [("gl", 1, 2), ("gl", 1, 3), ("gl", 2, 2),
@@ -568,17 +642,17 @@ def test_mackey_sum_equals_plain_coset_count(kind, n, q):
     emb = embed_standard(h, g)
     classes = conjugacy_classes(g)
     t = character_table(g, classes)
-    report = dim_invariants(t, emb)
+    rows = dim_invariants(t, emb)
     plain = double_cosets(g, emb, mod_center=False)
-    assert sum(r.dim_inv ** 2 for r in report.rows) == plain.count
+    assert sum(r.dim_inv ** 2 for r in rows) == plain.count
 
 
 def test_dual_dims_match_everywhere(f3):
     g, classes = build("gl", 2, 3)
     t = character_table(g, classes)
     emb = embed_standard(enumerate_gl(1, f3), g)
-    report = dim_invariants(t, emb)
-    assert all(r.dim_inv == r.dim_dual_inv for r in report.rows)
+    rows = dim_invariants(t, emb)
+    assert all(r.dim_inv == r.dim_dual_inv for r in rows)
 
 
 @pytest.mark.parametrize("kind,n,q", [("gl", 1, 3), ("gl", 1, 2), ("o", 2, 3)])
@@ -592,7 +666,7 @@ def test_dims_reconstruct_the_permutation_character(kind, n, q):
     emb = embed_standard(h, g)
     classes = conjugacy_classes(g)
     t = character_table(g, classes)
-    report = dim_invariants(t, emb)
+    rows = dim_invariants(t, emb)
 
     in_h = set(emb.map)
     # left cosets xH as orbits of right multiplication
@@ -612,7 +686,7 @@ def test_dims_reconstruct_the_permutation_character(kind, n, q):
         fixed = sum(1 for x in reps
                     if g.mul_ids(g.mul_ids(g.inverse_ids[x], rep), x) in in_h)
         total = sum(r.dim_inv * t.values[i][c]
-                    for i, r in enumerate(report.rows)) % l
+                    for i, r in enumerate(rows)) % l
         assert total == fixed % l
         assert fixed <= len(reps) < l  # the lift is unambiguous
 
@@ -625,21 +699,20 @@ def test_verify_pair_gl(f2):
     g, classes = build("gl", 2, 2)
     t = character_table(g, classes)
     emb = embed_standard(enumerate_gl(1, f2), g)
-    report = dim_invariants(t, emb)
+    rows = dim_invariants(t, emb)
     action = involution_action(double_cosets(g, emb, mod_center=True))
-    outcome = verify_pair(t, report, action.k)
-    assert outcome.passed and outcome.bound == 2 and outcome.attained
-    assert outcome.failures == []
+    assert verify_pair(t, rows, action.k) == []
 
 
 def test_verify_pair_flags_violations(f2):
     g, classes = build("gl", 2, 2)
     t = character_table(g, classes)
     emb = embed_standard(enumerate_gl(1, f2), g)
-    report = dim_invariants(t, emb)
-    outcome = verify_pair(t, report, 0)  # pretend k = 0: bound 1 is violated
-    assert not outcome.passed
-    assert outcome.failures
+    rows = dim_invariants(t, emb)
+    # pretend k = 0: bound 1 is violated by the degree-2 row
+    assert verify_pair(t, rows, 0) == [
+        "irreducible #2 (degree 2): dim_inv = 2 exceeds bound "
+        "min(k+1, 2) = 1"]
 
 
 # ---------------------------------------------------------
@@ -673,7 +746,8 @@ def test_corrupt_cache_values_fail_orthogonality(tmp_path):
     payload = json.loads(path.read_text())
     payload["values"][0][1] = (payload["values"][0][1] + 1) % payload["l"]
     path.write_text(json.dumps(payload))
-    with pytest.raises(InternalCheckError):
+    # the row relation alone catches it: it implies the column relation
+    with pytest.raises(InternalCheckError, match="row orthogonality"):
         load_character_table(g, classes, tmp_path)
 
 

@@ -217,3 +217,63 @@ def test_nonfixed_reps_have_the_classified_shape(n, q):
     a = involution_action(double_cosets(g, emb, mod_center=True))
     shapes = classify_nonfixed_gl(a)
     assert sorted(shapes) == ["col", "row"]
+
+
+def _gl3_f3_swapped_reps_replaced(*rows):
+    """GL3(F3) over GL2(F3) mod center, with the representative of the
+    i-th swapped coset replaced by the matrix rows[i]."""
+    from dataclasses import replace
+    g, emb = make_pair("gl", 2, 3)
+    a = involution_action(double_cosets(g, emb, mod_center=True))
+    reps = list(a.decomp.reps)
+    for c, m in zip(a.nonfixed_coset_ids(), rows):
+        reps[c] = g.id_of_entries(tuple(x for row in m for x in row))
+    return replace(a, decomp=replace(a.decomp, reps=reps))
+
+
+def test_a_representative_zero_on_both_sides_is_caught():
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    a = _gl3_f3_swapped_reps_replaced(identity)
+    with pytest.raises(InternalCheckError, match="does not match the "
+                       "expected zero-row/zero-column shape"):
+        classify_nonfixed_gl(a)
+
+
+def test_two_representatives_zero_on_the_same_side_are_caught():
+    row_zero = ((1, 0, 1), (0, 1, 0), (0, 0, 1))
+    a = _gl3_f3_swapped_reps_replaced(row_zero, row_zero)
+    with pytest.raises(InternalCheckError, match="same side"):
+        classify_nonfixed_gl(a)
+
+
+def test_a_transpose_not_well_defined_on_cosets_is_caught():
+    g, emb = make_pair("gl", 1, 3)
+    d = double_cosets(g, emb, mod_center=False)
+    reps = set(d.reps)
+    x = next(i for i in range(g.order) if i not in reps)
+    y = next(i for i in range(g.order)
+             if i not in reps and d.coset_of[i] != d.coset_of[x])
+    tr = g.transpose_ids.copy()
+    tr[x], tr[y] = tr[y], tr[x]  # x and y now land in each other's image
+    g._transpose_ids = tr
+    with pytest.raises(InternalCheckError, match="not well defined"):
+        involution_action(d)
+
+
+def test_a_coset_action_that_is_not_an_involution_is_caught():
+    from types import SimpleNamespace
+    # three singleton cosets cycled: well defined, but of order 3
+    g = SimpleNamespace(transpose_ids=np.array([1, 2, 0]))
+    d = SimpleNamespace(group=g, coset_of=np.arange(3), reps=[0, 1, 2],
+                        count=3)
+    with pytest.raises(InternalCheckError, match="not an involution"):
+        involution_action(d)
+
+
+def test_an_action_without_one_swapped_pair_is_caught():
+    from gelfand.cosets import InvolutionAction
+    g, emb = make_pair("gl", 1, 3)
+    d = double_cosets(g, emb, mod_center=True)
+    a = InvolutionAction(d, list(range(d.count)), d.count, 0)
+    with pytest.raises(InternalCheckError, match="exactly one swapped pair"):
+        classify_nonfixed_gl(a)

@@ -34,6 +34,14 @@ def test_one_by_one_product(f5):
     assert parse_matrix(f5, "2") * parse_matrix(f5, "3") == parse_matrix(f5, "1")
 
 
+def test_rectangular_products(f5):
+    a = parse_matrix(f5, "1,2,3;4,0,1")
+    b = parse_matrix(f5, "1;1;2")
+    assert a * b == parse_matrix(f5, "4;1")  # 9 and 6 mod 5
+    assert b.transpose() * a.transpose() == parse_matrix(f5, "4,1")
+    assert b * parse_matrix(f5, "1,2") == parse_matrix(f5, "1,2;1,2;2,4")
+
+
 def test_rank_of_block_matrix(f3):
     assert parse_matrix(f3, "1,0,0;0,1,0;0,0,0").rank() == 2
     assert parse_matrix(f3, "1,0,0,0;0,1,0,0;0,0,0,0;0,0,0,0").rank() == 2

@@ -1,0 +1,262 @@
+"""The mutation catalogue: every entry breaks one check or one computation in
+``src/gelfand``, and tier-1 must notice.
+
+    python3 tools/mutants.py
+
+An entry is ``(file, old, new, why)``: ``old`` must occur exactly once in
+``src/gelfand/<file>`` and is replaced by ``new``.  Each entry is applied
+alone to a fresh copy of ``src/``, ``tests/`` and ``perfbench/`` in a
+temporary directory, and tier-1 runs there with ``-x`` and without
+criterion 4 (the exhaustive solver run, most of tier-1's time).  A failing
+run kills the mutant; a passing one lets it survive.
+
+An entry whose ``why`` starts with ``equivalent:`` changes nothing that a
+GL or O input can show, for the reason given.  It is applied, so that a
+stale entry is still caught, but its tests are not run.
+
+Prints killed, survived or equivalent per entry.  Exits 1 if any entry not
+marked equivalent survives, and 2 if some entry's ``old`` is not found
+exactly once.  Standard library only; not part of tier-1.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--deselect",
+         "tests/test_acceptance.py::test_criterion_4_symmetric_solver_exhaustive"]
+TIMEOUT_S = 900
+
+MUTANTS = [
+    # -- the report's checks
+    ("chartab.py",
+     "    return np.array_equal(cls[g.transpose_ids], cls)",
+     "    return True",
+     "transpose_classes never fails"),
+    ("pipeline.py",
+     'checks["mackey_sum"] = mackey == plain.count',
+     'checks["mackey_sum"] = mackey <= plain.count',
+     "mackey_sum accepts a short sum"),
+    ("pipeline.py",
+     'checks["dual_dims"] = all(r.dim_inv == r.dim_dual_inv for r in rows)',
+     'checks["dual_dims"] = True',
+     "dual_dims never fails"),
+    ("pipeline.py",
+     "lemma_ok = act_mc.nonfixed_count == 2",
+     "lemma_ok = act_mc.nonfixed_count <= 2",
+     "lemma_3_1 accepts fewer than 2 non-fixed cosets"),
+    ("pipeline.py",
+     "        bound=k + 1,",
+     "        bound=k + 2,",
+     "the reported bound is k + 2"),
+    ("pipeline.py",
+     "attained=max_dim_inv == k + 1,",
+     "attained=max_dim_inv >= k,",
+     "equivalent: the two differ only at max_dim_inv = k, which no pair "
+     "reaches (GL has a dim_inv of 2 = k + 1, and O has k = 0 while the "
+     "trivial character gives 1), or above k + 1, which fails verify_pair"),
+    # -- the bound and the invariant dimensions
+    ("chartab.py",
+     "    bound = min(k + 1, kind_bound)",
+     "    bound = min(k + 2, kind_bound)",
+     "verify_pair holds dim_inv to k + 2"),
+    ("chartab.py",
+     'kind_bound = 2 if table.group.kind == "GL" else 1',
+     'kind_bound = 3 if table.group.kind == "GL" else 1',
+     "equivalent: on GL, k = 1 by Lemma 3.1, so k + 1 = 2 binds first; the "
+     "2 only guards against a wrong k"),
+    ("chartab.py",
+     "            if r > degree:",
+     "            if r > degree + 1:",
+     "dim_invariants lifts into [0, degree + 1]"),
+    # -- the transpose action on double cosets
+    ("cosets.py",
+     "        if bad.size:\n            raise InternalCheckError(\n"
+     "                \"the center does not permute",
+     "        if False:\n            raise InternalCheckError(\n"
+     "                \"the center does not permute",
+     "the center's action on the plain cosets is not checked"),
+    ("cosets.py",
+     "    if bad.size:\n        raise InternalCheckError(\n"
+     "            \"transpose is not well defined",
+     "    if False:\n        raise InternalCheckError(\n"
+     "            \"transpose is not well defined",
+     "transpose's action on cosets is not checked element by element"),
+    ("cosets.py",
+     "        if perm[t] != c:",
+     "        if False:",
+     "the coset action is not checked to be an involution"),
+    ("cosets.py",
+     "    if len(nf) != 2 or a.perm[nf[0]] != nf[1]:",
+     "    if False:",
+     "classify_nonfixed_gl's one-swapped-pair raise is removed"),
+    ("cosets.py",
+     "        if row_zero == col_zero:",
+     "        if False:",
+     "classify_nonfixed_gl's shape raise is removed"),
+    ("cosets.py",
+     "    if shapes[0] == shapes[1]:",
+     "    if False:",
+     "classify_nonfixed_gl's same-side raise is removed"),
+    # -- the character table
+    ("chartab.py",
+     "    if sizes[class_of[g.identity_id]] != 1:",
+     "    if False:",
+     "the identity class is not checked to be a singleton"),
+    ("chartab.py",
+     "    if not np.array_equal(n_s[:, class_of[g.identity_id]],",
+     "    if False and np.array_equal(n_s[:, class_of[g.identity_id]],",
+     "the separator's inverse-class identity is removed"),
+    ("chartab.py",
+     "    if not pivot.all():",
+     "    if False:",
+     "a central character vanishing at the identity is not caught"),
+    ("chartab.py",
+     "    if not np.array_equal(rows, t.group.order % l * np.eye(",
+     "    if False and np.array_equal(rows, t.group.order % l * np.eye(",
+     "row orthogonality, the table's one relation check, is removed"),
+    ("chartab.py",
+     "return order * (l - 1) < 2 ** 53 and",
+     "return order * (l - 1) < 2 ** 54 and",
+     "the float64 separator bound is raised"),
+    ("chartab.py",
+     "(k + 1) * l * l < 2 ** 63",
+     "(k + 1) * l * l < 2 ** 64",
+     "the int64 product bound is raised"),
+    ("chartab.py",
+     "    return (hits.argmax(1) + 1).tolist()",
+     "    return (hits.argmax(1) + 1 + (np.arange(len(ids)) == len(ids) - 1)"
+     ").tolist()",
+     "power_orders is off by one for the last rep"),
+    ("chartab.py",
+     "for i, o in enumerate(_block_orders(g, rows), m):",
+     "for i, o in enumerate(_block_orders(g, rows) if s == 2 else [], m):",
+     "only the first walk checks the orders"),
+    ("chartab.py",
+     "if m == 0 and rep != g.identity_id and not np.array_equal(",
+     "if False and not np.array_equal(",
+     "the walked right row is not compared with GroupTable.perm"),
+    ("chartab.py",
+     "    if r > cap:",
+     "    if False:",
+     "_lagrange_split's Krylov size check is removed"),
+    ("chartab.py",
+     "        if d * d != d2 or not 1 <= d <= sqrt_cap:",
+     "        if False:",
+     "a degree residue that is no admissible square is lifted anyway"),
+    ("chartab.py",
+     "    if sum(d * d for d in degrees) != order:",
+     "    if False:",
+     "the squared degrees are not checked to sum to |G|"),
+    ("chartab.py",
+     "    if len(mu) != r:",
+     "    if False:",
+     "_lagrange_split's root count is removed"),
+    ("chartab.py",
+     "        if not np.array_equal(images, vecs * images[identity_class] % l):",
+     "        if False:",
+     "equivalent: the root count in _lagrange_split raises first on every "
+     "corruption tried (all 4,914 single +1 corruptions of the class "
+     "matrices of GL2(F2), GL2(F3), GL2(F4) and O3(F3))"),
+    # -- refusals before work
+    ("groups.py",
+     "        if not np.all(codes[1:] > codes[:-1]):",
+     "        if False:",
+     "the table's code-order check is removed"),
+    ("pipeline.py",
+     '    if kind not in ("gl", "o") or n < 1:\n        return',
+     "    if True:\n        return",
+     "check_table_fits refuses nothing"),
+    ("pipeline.py",
+     "    if jobs < 0:",
+     "    if jobs < -1:",
+     "a sweep accepts jobs = -1"),
+    # -- the symmetric solver
+    ("symsolve.py",
+     "        b[m][m] = div(add(v[m], v[m]), phi[m])",
+     "        b[m][m] = div(v[m], phi[m])",
+     "the c = 0 corner is halved"),
+    ("symsolve.py",
+     "    j = next(i for i, x in enumerate(v) if x)",
+     "    j = next(i for i, x in enumerate(phi) if x)",
+     "j is taken from phi"),
+    ("symsolve.py",
+     "        if i == j:\n            continue",
+     "        if False:\n            continue",
+     "the rank-one sum runs over every i"),
+    # -- matrix products
+    ("matrix.py",
+     "                bi += cols",
+     "                bi += inner",
+     "_mul_entries steps down b's columns by the inner size"),
+    # -- the names perfbench/tracing.py patches
+    ("groups.py",
+     "    @property\n    def generator_ids",
+     "    @functools.cached_property\n    def generator_ids",
+     "generator_ids is no longer a plain property"),
+    ("chartab.py",
+     "from .matrix import format_matrix, mul_batch, mul_flat  # noqa: F401",
+     "from .matrix import format_matrix, mul_batch",
+     "chartab's mul_flat import is dropped"),
+]
+
+
+def run_mutant(file: str, old: str, new: str, run: bool) -> str | None:
+    """'killed' or 'survived' (None when not run); raises LookupError
+    unless old occurs exactly once."""
+    with tempfile.TemporaryDirectory(prefix="gelfand-mutant-") as tmp:
+        tmp = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, tmp / name, ignore=shutil.ignore_patterns(
+                    "__pycache__"))
+            else:
+                shutil.copy2(src, tmp / name)
+        path = tmp / "src" / "gelfand" / file
+        text = path.read_text()
+        if text.count(old) != 1:
+            raise LookupError(f"{file}: found {text.count(old)} times: "
+                              f"{old!r}")
+        path.write_text(text.replace(old, new))
+        if not run:
+            return None
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        try:
+            done = subprocess.run(TIER1, cwd=tmp, env=env,
+                                  stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed"  # a hang is a visible failure too
+        return "survived" if done.returncode == 0 else "killed"
+
+
+def main() -> int:
+    survived = stale = 0
+    for file, old, new, why in MUTANTS:
+        equivalent = why.startswith("equivalent:")
+        try:
+            verdict = run_mutant(file, old, new, run=not equivalent)
+        except LookupError as exc:
+            print(f"stale      {exc}", flush=True)
+            stale += 1
+            continue
+        verdict = verdict or "equivalent"
+        survived += verdict == "survived"
+        print(f"{verdict:<10} {file:<12} {why}", flush=True)
+    print(f"{len(MUTANTS)} mutants: {survived} survived, {stale} stale")
+    return 2 if stale else 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
