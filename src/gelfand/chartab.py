@@ -114,9 +114,9 @@ def power_orders(g: GroupTable, ids) -> list[int]:
     identity row; t's order is the exponent of its first one."""
     n = g.n
     ids = np.asarray(ids)
-    powers = g.mat[ids][:, None]  # powers[i, e - 1] = t_i^e, e <= 2^j
+    powers = g.matrices(ids)[:, None]  # powers[i, e - 1] = t_i^e, e <= 2^j
     while True:
-        hits = (powers == g.mat[g.identity_id]).all(2)
+        hits = (powers == g.matrices(g.identity_id)).all(2)
         found = hits.any(1)
         if found.all():
             return (hits.argmax(1) + 1).tolist()
@@ -353,7 +353,7 @@ def _separator(g: GroupTable, classes: ConjClasses, l: int, s: int,
     for rows in g.right_rows(classes.reps):
         rep = classes.reps[m + len(rows) - 1]
         if m == 0 and rep != g.identity_id and not np.array_equal(
-                rows[-1], g.perm(g.mat[rep])):
+                rows[-1], g.perm(g.matrices(rep))):
             raise InternalCheckError("right-regular row of class rep "
                                      f"{format_matrix(g.element(rep))} "
                                      "differs from its batched product")
@@ -461,22 +461,21 @@ def cache_path(cache_dir: str | Path, kind: str, n: int, q: int) -> Path:
     return Path(cache_dir) / f"chartab-{kind.lower()}{n}-q{q}-v1.json"
 
 
+def table_payload(t: CharacterTable) -> dict:
+    """The table as ``gelfand chartab --json`` prints it; the cache file
+    adds only the schema."""
+    g, classes = t.group, t.classes
+    return {"kind": g.kind.lower(), "n": g.n, "q": g.field.q, "l": t.l,
+            "root": t.root, "degrees": t.degrees, "values": t.values,
+            "class_reps": [format_matrix(g.element(r)) for r in classes.reps],
+            "class_sizes": classes.sizes}
+
+
 def save_character_table(t: CharacterTable, cache_dir: str | Path) -> Path:
     g = t.group
     path = cache_path(cache_dir, g.kind, g.n, g.field.q)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "kind": g.kind.lower(),
-        "n": g.n,
-        "q": g.field.q,
-        "l": t.l,
-        "root": t.root,
-        "class_reps": [format_matrix(g.element(r)) for r in t.classes.reps],
-        "class_sizes": t.classes.sizes,
-        "degrees": t.degrees,
-        "values": t.values,
-    }
+    payload = dict(table_payload(t), schema=CACHE_SCHEMA)
     # write a sibling temp file and rename it over the target, so a reader
     # never sees a partial table; the pid keeps concurrent sweep workers apart
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

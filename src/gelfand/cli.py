@@ -17,7 +17,7 @@ import os
 import sys
 import traceback
 
-from .chartab import character_table, conjugacy_classes
+from .chartab import character_table, conjugacy_classes, table_payload
 from .cosets import double_cosets, involution_action
 from .errors import DomainError, InternalCheckError
 from .field import field_from_q
@@ -148,21 +148,13 @@ def cmd_chartab(args) -> int:
     table = enumerate_group(args.type, args.n, field, args.cap_group_order)
     classes = conjugacy_classes(table)
     t = character_table(table, classes, cache_dir=args.cache_dir)
-    payload = {
-        "kind": args.type, "n": args.n, "q": args.q,
-        "l": t.l, "root": t.root,
-        "class_reps": [format_matrix(table.element(r)) for r in classes.reps],
-        "class_sizes": classes.sizes,
-        "degrees": t.degrees,
-        "values": t.values,
-    }
     if args.json is not None:
+        text = json.dumps(table_payload(t), sort_keys=True, indent=1)
         if args.json == "-":
-            print(json.dumps(payload, sort_keys=True, indent=1))
+            print(text)
         else:
             with open(args.json, "w") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=1)
-                fh.write("\n")
+                fh.write(text + "\n")
             print(f"wrote {args.json}")
         return EXIT_PASS
     print(f"classes: {classes.count}")

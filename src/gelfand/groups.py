@@ -1,29 +1,29 @@
 """Enumerated finite matrix groups: GL_n(F_q) and O_n(F_q).
 
-A GroupTable stores its elements as one (order, n^2) uint8 array ``mat``,
-rows in the lexicographic order of their entries, next to int64 base-q
-``codes`` that increase with that order and the (n, order) base-q codes of
-each element's rows, ``row_codes``.  ``ids_of_codes`` maps matrix codes to
-element ids and raises, naming the matrix, if any is not in the group, so
-every batched lookup is also a membership check; ``ids_of`` encodes a uint8
-batch first.  Where the q^(n^2) codes number at most 4 |G| (every GL_n,
-since |GL_n| / q^(n^2) = prod (1 - q^-i) > 0.288, and no O_n with n >= 2)
-the lookup is one gather from the int32 code -> id array ``id_of_code``,
--1 off the group; elsewhere it is a binary search of ``codes``.  The fixed
-order makes coset representatives, class representatives and reports
-reproducible bit for bit.  MatFq objects are built only on demand.
+A GroupTable stores each element once, as the base-q codes of its n rows
+(``row_codes``, shape (n, order)), in the lexicographic order of the
+entries; the int64 matrix ``codes`` (the row codes as base-q^n digits)
+increase with that order.  Only ``matrices`` builds entry arrays.
+``ids_of_codes`` maps matrix codes to element ids and raises, naming the
+matrix, if any is not in the group, so every batched lookup is also a
+membership check; ``ids_of`` encodes a uint8 batch first.  Where the
+q^(n^2) codes number at most 4 |G| (every GL_n, since |GL_n| / q^(n^2) =
+prod (1 - q^-i) > 0.288, and no O_n with n >= 2) the lookup is one gather
+from the int32 code -> id array ``id_of_code``, -1 off the group; elsewhere
+it is a binary search of ``codes``.  The fixed order makes coset and class
+representatives and reports reproducible bit for bit.
 
-The group is multiplied by one fixed matrix m without a matrix product: row
-i of x m is row_i(x) m, so ``perm`` builds the table v -> code(v m) over the
-q^n row vectors v (through the field's add and mul tables, for prime and
-extension fields alike) and reads each product's code as the sum over i of
-that table at row_i(x), weighted by q^(n(n-1-i)): n gathers, then one
-lookup.  A left product is a right one between transposes, m x = (x^T
-m^T)^T.  Each id permutation is computed once per element and side
-(``id_perm``, memoised).  ``matrix.mul_batch`` is left for the pairwise
-products of two checks, x x^-1 = 1 and, for O, g^T g = 1; the first still
-checks the generator permutations, through the Schreier tree, against true
-matrix products on every run.
+A whole-group map that acts row by row is one ``_gather``: the image code
+of x is the sum over i of table i read at row_i(x).  For x m, m fixed
+(``perm``), table i is code(v m) over the q^n row vectors v, times
+q^(n(n-1-i)); for x^T, entry (i, j) of x sits at place (n-1-j) n + (n-1-i),
+so table i is v as base-q^n digits, times q^(n-1-i); for diag(B, 1), row i
+is (B_i, 0), of code q code(B_i), and the last row adds 1.  A left product
+is a right one between transposes, m x = (x^T m^T)^T.  Each id permutation
+is computed once per element and side (``id_perm``, memoised).
+``matrix.mul_batch`` is left for the pairwise products of two checks:
+x x^-1 = 1 and, for O, g^T g = 1; the first still checks the generator
+permutations along the Schreier tree against true products on every run.
 
 The left and right permutations of the generators, lambda_g: x -> g x and
 rho_g: x -> x g, carry the rest as gathers: the center is where they agree,
@@ -38,15 +38,15 @@ orbits of a set of id permutations by their minimal element id, and
 ``number_orbits`` numbers them in the order of those ids; double cosets and
 conjugacy classes are orbits of this kind.
 
-GL is enumerated by extending linearly independent row prefixes (the span
-of the chosen rows is carried along, so the q^(n^2) ambient space is never
-filtered).  O is the group of the identity bilinear form, enumerated the
-same way by extending orthonormal row prefixes (each prefix carries the
-mask of unit vectors orthogonal to all its rows).  Every O table is checked
-three ways: g^T g = I for every element, the closed-form order, and the
-closure over the hyperplane reflections in id order must reach every
-element.  GL's candidates are a transvection, the n-cycle and diag(g, 1,
-..., 1) for a primitive g, which generate GL_n(F_q).
+GL is enumerated by extending linearly independent row prefixes, as row
+codes (the span of the chosen rows is carried along, so the q^(n^2) ambient
+space is never filtered).  O is the group of the identity bilinear form,
+enumerated the same way by extending orthonormal row prefixes (each prefix
+carries the mask of unit vectors orthogonal to all its rows).  Every O
+table is checked three ways: g^T g = I for every element, the closed-form
+order, and the closure over the hyperplane reflections in id order must
+reach every element.  GL's candidates are a transvection, the n-cycle and
+diag(g, 1, ..., 1) for a primitive g, which generate GL_n(F_q).
 """
 
 from __future__ import annotations
@@ -148,32 +148,35 @@ def invert_perm(p: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _gather(tables: np.ndarray, row_codes: np.ndarray) -> np.ndarray:
+    """sum_i tables[i][row_codes[i]], as int64 image codes."""
+    codes = tables[0].take(row_codes[0])
+    for table, rows in zip(tables[1:], row_codes[1:]):
+        codes += table.take(rows)
+    return codes
+
+
 class GroupTable:
     """Indexed element table of an enumerated matrix group."""
 
-    def __init__(self, kind: str, n: int, field: Fq, mat):
+    def __init__(self, kind: str, n: int, field: Fq, rows):
         check_code_range(n, field.q)
         self.kind = kind
         self.n = n
         self.field = field
-        mat = np.asarray(mat, dtype=np.uint8).reshape(-1, n * n)
-        codes = encode(mat, field.q)
-        # row extension enumerates in code order; this also refuses
-        # duplicate rows
-        if not np.all(codes[1:] > codes[:-1]):
-            raise InternalCheckError(
-                "group table rows are not in strictly increasing code order")
-        self.mat = mat
-        self.codes = codes
-        self.order = len(self.codes)
         # row_codes[i, x]: base-q code of row i of element x, in the
         # smallest unsigned type that holds q^n - 1 (``take`` gathers by
         # any of them at the same speed)
-        rows = self.mat.reshape(-1, n, n)
-        self.row_codes = np.empty((n, self.order),
-                                  np.min_scalar_type(field.q ** n - 1))
-        for i in range(n):
-            self.row_codes[i] = encode(rows[:, i], field.q)
+        rows = np.asarray(rows).reshape(-1, n)
+        self.row_codes = np.ascontiguousarray(
+            rows.T, dtype=np.min_scalar_type(field.q ** n - 1))
+        self.codes = encode(rows, field.q ** n)
+        # row extension enumerates in code order; this also refuses
+        # duplicate rows
+        if not np.all(self.codes[1:] > self.codes[:-1]):
+            raise InternalCheckError(
+                "group table rows are not in strictly increasing code order")
+        self.order = len(self.codes)
         # code -> id, -1 off the group, wherever the group is dense enough
         # in the q^(n^2) matrices for the array to cost at most 16 bytes an
         # element; None sends ``ids_of_codes`` to binary search
@@ -236,8 +239,13 @@ class GroupTable:
             raise DomainError("matrix shape or field does not match group")
         return self.id_of_entries(m.entries)
 
+    def matrices(self, ids) -> np.ndarray:
+        """The n^2 uint8 entries of each element of ``ids``, on a new axis."""
+        return self.vectors.take(self.row_codes[:, ids].T, axis=0).reshape(
+            np.shape(ids) + (-1,))
+
     def element(self, i: int) -> MatFq:
-        return MatFq(self.field, self.n, self.n, self.mat[i].tolist())
+        return MatFq(self.field, self.n, self.n, self.matrices(i).tolist())
 
     @functools.cached_property
     def elements(self) -> list[MatFq]:
@@ -252,22 +260,18 @@ class GroupTable:
     @functools.cached_property
     def vectors(self) -> np.ndarray:
         """The q^n row vectors as uint8 rows, in the order of their codes;
-        built on the first product."""
+        built on first use."""
         return decode(np.arange(self.field.q ** self.n), self.n, self.field.q)
 
     def perm(self, m: np.ndarray) -> np.ndarray:
         """Id permutation x -> x m of a group element m (raises if m is not
-        one).  Row i of x m is row_i(x) m, so one table of v m over the row
-        vectors v, weighted by the place of row i in the code, gives every
-        product's code in n gathers."""
+        one): row i of x m is row_i(x) m, read off a table of v m."""
         n, q = self.n, self.field.q
         m = np.asarray(m, dtype=np.uint8).reshape(n, n)
         image = encode(_inner(self.vectors[:, None], m.T, self.field), q)
-        shifted = image * q ** (n * np.arange(n - 1, -1, -1))[:, None]
-        codes = shifted[0].take(self.row_codes[0])
-        for weights, rows in zip(shifted[1:], self.row_codes[1:]):
-            codes += weights.take(rows)
-        return self.ids_of_codes(codes)
+        return self.ids_of_codes(_gather(
+            image * q ** (n * np.arange(n - 1, -1, -1))[:, None],
+            self.row_codes))
 
     def id_perm(self, i: int, left: bool = False) -> np.ndarray:
         """Id permutation x -> x g, or x -> g x (left), of the element g of
@@ -280,7 +284,7 @@ class GroupTable:
                 t = self.transpose_ids
                 self._id_perms[key] = t[self.id_perm(t[i])[t]]
             else:
-                self._id_perms[key] = self.perm(self.mat[i])
+                self._id_perms[key] = self.perm(self.matrices(i))
         return self._id_perms[key]
 
     # -- distinguished data (computed lazily, cached) ---------------------------
@@ -369,23 +373,24 @@ class GroupTable:
             _, right = self.generator_perms
             inv = self._spread(self.identity_id,
                                [invert_perm(rho) for rho in right])
-            one = self.mat[self.identity_id]
+            one = self.matrices(self.identity_id)
             step = max(1, ROW_CHUNK // (self.n * self.n))
             for start in range(0, self.order, step):
-                block = slice(start, start + step)
-                if np.any(mul_batch(self.mat[block], self.mat[inv[block]],
-                                    self.n, self.field) != one):
+                block = np.arange(start, min(start + step, self.order))
+                x, x_inv = self.matrices(block), self.matrices(inv[block])
+                if np.any(mul_batch(x, x_inv, self.n, self.field) != one):
                     raise InternalCheckError("inverse table is wrong")
             self._inverse_ids = inv
         return self._inverse_ids
 
     @property
     def transpose_ids(self) -> np.ndarray:
+        """x -> x^T: row i of x, read as base-q^n digits, times q^(n-1-i)."""
         if self._transpose_ids is None:
-            n = self.n
-            self._transpose_ids = self.ids_of(
-                self.mat.reshape(-1, n, n).transpose(0, 2, 1)
-                .reshape(-1, n * n))
+            n, q = self.n, self.field.q
+            self._transpose_ids = self.ids_of_codes(_gather(
+                encode(self.vectors, q ** n)
+                * q ** np.arange(n - 1, -1, -1)[:, None], self.row_codes))
         return self._transpose_ids
 
     def center_ids(self) -> list[int]:
@@ -452,14 +457,15 @@ def enumerate_gl(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
     add, mul = field.arrays()
     vectors = decode(np.arange(q ** n), n, q)
     scalars = np.arange(q)[:, None]
-    prefixes = np.zeros((1, 0), dtype=np.uint8)
+    prefixes = np.zeros((1, 0), dtype=np.min_scalar_type(q ** n - 1))
     span = np.zeros((1, 1, n), dtype=np.uint8)
     for depth in range(n):
         outside = np.ones((len(span), q ** n), dtype=bool)
         in_span = encode(span.reshape(-1, n), q).reshape(len(span), -1)
         outside[np.arange(len(span))[:, None], in_span] = False
         prefix, v = np.nonzero(outside)
-        prefixes = np.hstack([prefixes[prefix], vectors[v]])
+        v = v.astype(prefixes.dtype)  # the code of the new row
+        prefixes = np.column_stack((prefixes[prefix], v))
         if depth + 1 < n:
             # span of the longer prefix: s + c v for s in the old span
             span = add[span[prefix][:, :, None, :],
@@ -521,18 +527,20 @@ def enumerate_o(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
         raise CapExceededError(f"|O_{n}(F_{q})| = {expected} exceeds cap {cap}")
     units = unit_vectors(n, field)
     orthogonal = _inner(units[:, None], units[None], field) == 0
-    prefixes = np.zeros((1, 0), dtype=np.uint8)
+    prefixes = np.zeros((1, 0), dtype=np.min_scalar_type(q ** n - 1))
+    unit_codes = encode(units, q).astype(prefixes.dtype)
     allowed = np.ones((1, len(units)), dtype=bool)
     for depth in range(n):
         prefix, u = np.nonzero(allowed)
-        prefixes = np.hstack([prefixes[prefix], units[u]])
+        prefixes = np.column_stack((prefixes[prefix], unit_codes[u]))
         if depth + 1 < n:
             allowed = allowed[prefix] & orthogonal[u]
     if len(prefixes) != expected:
         raise InternalCheckError(
             f"orthonormal row extension has {len(prefixes)} elements, but "
             f"|O_{n}(F_{q})| = {expected}")
-    gram = mul_batch(prefixes.reshape(-1, n, n).transpose(0, 2, 1), prefixes,
+    entries = decode(prefixes.ravel(), n, q).reshape(-1, n, n)
+    gram = mul_batch(entries.transpose(0, 2, 1), entries.reshape(-1, n * n),
                      n, field)
     if np.any(gram != np.array(identity_flat(n), dtype=np.uint8)):
         raise InternalCheckError("row extension left the orthogonal group")
@@ -562,11 +570,11 @@ def embed_standard(h: GroupTable, g: GroupTable) -> Embedding:
         raise DomainError("embedding requires the same field")
     if h.n + 1 != g.n or h.kind != g.kind:
         raise DomainError("standard embedding requires same kind and n+1 size")
-    n = h.n
-    block = np.zeros((h.order, n + 1, n + 1), dtype=np.uint8)
-    block[:, :n, :n] = h.mat.reshape(-1, n, n)
-    block[:, n, n] = 1
-    map_ids = g.ids_of(block.reshape(h.order, -1)).tolist()
+    # row i < n is (B_i, 0), of code q code(B_i) at weight q^((n+1)(n-i));
+    # the last row, (0, ..., 0, 1), adds 1
+    n, q = h.n, h.field.q
+    shares = q * np.arange(q ** n) * (q ** g.n) ** np.arange(n, 0, -1)[:, None]
+    map_ids = g.ids_of_codes(_gather(shares, h.row_codes) + 1).tolist()
     emb = Embedding(h, g, map_ids)
     # identity must map to identity; full homomorphism check lives in tests
     if map_ids[h.identity_id] != g.identity_id:

@@ -36,8 +36,9 @@ def reference_tensor(g, classes):
     k = classes.count
     cls = classes.class_of
     a = np.zeros((k, k, k), dtype=np.int64)
+    every = g.matrices(np.arange(g.order))
     for x in range(g.order):
-        xy = g.ids_of(mul_batch(g.mat[x], g.mat, g.n, g.field))
+        xy = g.ids_of(mul_batch(every[x], every, g.n, g.field))
         np.add.at(a, (cls[x], cls, cls[xy]), 1)
     sizes = np.array(classes.sizes)
     assert not (a % sizes).any()
@@ -489,6 +490,32 @@ def test_a_wrong_degree_is_caught(corrupt, message, monkeypatch):
         lambda separator, k, l, root, e: corrupt(
             real(separator, k, l, root, e), l))
     with pytest.raises(InternalCheckError, match=message):
+        character_table(g, classes)
+
+
+def test_a_degree_that_does_not_divide_the_order_is_caught(monkeypatch):
+    # GL2(F3), |G| = 48, has degrees 4, 3, 3, 2, 2, 2, 1, 1.  Scaling a
+    # central character by d / d' mod l lifts it to degree d' instead; the
+    # degrees 5, 3, 3, 1, 1, 1, 1, 1 pass the square lift, d <= sqrt(48)
+    # and sum d^2 = 48, so only the divisibility check can fail
+    g, classes = build("gl", 2, 3)
+    real = chartab._split_eigenspaces
+    inv = classes.inverse_class
+
+    def rescaled(separator, k, l, root, e):
+        w = real(separator, k, l, root, e)  # one column per character
+        inv_h = np.array([[pow(h, -1, l)] for h in classes.sizes])
+        denoms = (w * w[inv] % l * inv_h % l).sum(0) % l
+        degrees = [math.isqrt(g.order * pow(int(s), -1, l) % l)
+                   for s in denoms]
+        wanted = dict(zip(np.argsort(degrees)[::-1].tolist(),
+                          [5, 3, 3, 1, 1, 1, 1, 1]))
+        return w * [d * pow(wanted[j], -1, l) % l
+                    for j, d in enumerate(degrees)] % l
+
+    monkeypatch.setattr(chartab, "_split_eigenspaces", rescaled)
+    with pytest.raises(InternalCheckError,
+                       match=re.escape("degree 5 does not divide |G| = 48")):
         character_table(g, classes)
 
 

@@ -197,6 +197,20 @@ def test_cli_chartab_json_stdout(capsys):
     assert len(data["class_reps"]) == len(data["class_sizes"])
 
 
+@pytest.mark.parametrize("kind,n,q", [("gl", 2, 3), ("o", 3, 3)])
+def test_the_cache_file_is_the_json_output_plus_its_schema(tmp_path, capsys,
+                                                           kind, n, q):
+    from gelfand.chartab import CACHE_SCHEMA, cache_path
+    argv = ["chartab", "--type", kind, "--n", str(n), "--q", str(q),
+            "--json", "-", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0  # computed and written
+    printed = capsys.readouterr().out
+    cached = json.loads(cache_path(tmp_path, kind, n, q).read_text())
+    assert cached == dict(json.loads(printed), schema=CACHE_SCHEMA)
+    assert main(argv) == 0  # read back
+    assert capsys.readouterr().out == printed
+
+
 def test_cli_chartab(tmp_path, capsys):
     assert main(["chartab", "--type", "gl", "--n", "2", "--q", "2"]) == 0
     out = capsys.readouterr().out

@@ -252,7 +252,8 @@ def test_center_commutes_with_everything(f3):
 # ---------------------------------------------------------
 
 @pytest.mark.parametrize("kind,n,q", [("gl", 2, 2), ("gl", 2, 3), ("gl", 2, 4),
-                                      ("o", 2, 3), ("o", 3, 3), ("o", 2, 5)])
+                                      ("gl", 2, 8), ("o", 2, 3), ("o", 3, 3),
+                                      ("o", 2, 5), ("o", 4, 3)])
 def test_transpose_maps_group_to_itself(kind, n, q):
     from gelfand.field import field_from_q
     field = field_from_q(q)
@@ -261,6 +262,8 @@ def test_transpose_maps_group_to_itself(kind, n, q):
     assert sorted(tr) == list(range(table.order))  # a permutation
     for z in table.center_ids():
         assert tr[z] == z  # transpose fixes the center pointwise
+    for x in range(table.order):
+        assert table.element(tr[x]) == table.element(x).transpose()
 
 
 # ---------------------------------------------------------
@@ -292,6 +295,18 @@ def test_embed_o2_into_o3(f3):
         m = g.elements[i]
         assert m.transpose() * m == ident
         assert m[2, 2] == 1 and m[0, 2] == m[1, 2] == m[2, 0] == m[2, 1] == 0
+
+
+@pytest.mark.parametrize("kind,n,q", [("gl", 1, 8), ("gl", 2, 3), ("o", 3, 3)])
+def test_embedding_maps_each_element_to_its_block(kind, n, q):
+    field = field_from_q(q)
+    enum = enumerate_gl if kind == "gl" else enumerate_o
+    h, g = enum(n, field), enum(n + 1, field)
+    emb = embed_standard(h, g)
+    for i in range(h.order):
+        rows = [list(r) + [0] for r in h.element(i).to_rows()]
+        block = MatFq.from_rows(field, rows + [[0] * n + [1]])
+        assert g.element(emb.map[i]) == block
 
 
 @pytest.mark.parametrize("kind,n,q", [("gl", 1, 3), ("gl", 2, 2), ("gl", 2, 3),

@@ -42,8 +42,9 @@ def test_mul_batch_matches_mul_flat_row_for_row(q, n):
 
 def test_ids_of_round_trips_and_rejects_a_singular_matrix():
     g = enumerate_gl(2, field_from_q(3))
-    assert g.ids_of(g.mat).tolist() == list(range(g.order))
-    batch = np.array([g.mat[5], [1, 2, 2, 1]], dtype=np.uint8)  # det 0 mod 3
+    every = g.matrices(np.arange(g.order))
+    assert g.ids_of(every).tolist() == list(range(g.order))
+    batch = np.array([every[5], [1, 2, 2, 1]], dtype=np.uint8)  # det 0 mod 3
     with pytest.raises(InternalCheckError, match=r"\(1, 2, 2, 1\)"):
         g.ids_of(batch)
 
@@ -96,16 +97,17 @@ def test_right_rows_equal_batched_products(group):
     rows = np.vstack(list(g.right_rows(ids)))
     assert rows.dtype == np.int32 and rows.shape == (len(ids), g.order)
     for t, row in zip(ids, rows):
-        assert np.array_equal(row, g.perm(g.mat[t]))
+        assert np.array_equal(row, g.perm(g.matrices(t)))
 
 
 def test_conjugation_perms_equal_direct_products(group):
     g = group
     n, f = g.n, g.field
+    every = g.matrices(np.arange(g.order))
     for a, conj in zip(g.generator_ids, g.conjugation_perms()):
-        a_inv = np.array(inverse_flat(tuple(g.mat[a].tolist()), n, f),
+        a_inv = np.array(inverse_flat(tuple(g.matrices(a).tolist()), n, f),
                          dtype=np.uint8)
-        direct = g.ids_of(mul_batch(mul_batch(g.mat[a], g.mat, n, f),
+        direct = g.ids_of(mul_batch(mul_batch(g.matrices(a), every, n, f),
                                     a_inv, n, f))
         assert np.array_equal(conj, direct)
 
@@ -177,8 +179,9 @@ def test_the_direct_array_agrees_with_binary_search(name):
     enum, n, q = LOOKUP_GROUPS[name]
     g = enum(n, field_from_q(q))
     picks = random.Random(name).sample(range(g.order), 8)
+    every = g.matrices(np.arange(g.order))
     codes = np.concatenate([
-        groups.encode(mul_batch(g.mat, g.mat[t], n, g.field), q)
+        groups.encode(mul_batch(every, g.matrices(t), n, g.field), q)
         for t in picks])
     assert np.array_equal(g.ids_of_codes(codes),
                           np.searchsorted(g.codes, codes))
@@ -200,7 +203,7 @@ def test_no_gl_table_searches_its_codes(monkeypatch):
 ])
 def test_a_non_member_is_named_by_either_lookup(enum, n, q, m, kind):
     g = enum(n, field_from_q(q))
-    batch = np.array([g.mat[1], m], dtype=np.uint8)
+    batch = np.array([g.matrices(1), m], dtype=np.uint8)
     with pytest.raises(InternalCheckError,
                        match=re.escape(f"matrix {m} not in {kind}(F_{q})")):
         g.ids_of(batch)
@@ -212,7 +215,7 @@ def test_entries_outside_the_field_are_not_members():
     for g in (enumerate_gl(2, field_from_q(3)),
               enumerate_o(2, field_from_q(3))):
         for m in ((3, 0, 0, 3), (1, 3, 0, 1)):
-            batch = np.array([g.mat[1], m], dtype=np.uint8)
+            batch = np.array([g.matrices(1), m], dtype=np.uint8)
             with pytest.raises(InternalCheckError, match=re.escape(
                     f"matrix {m} not in {g.kind}_2(F_3)")):
                 g.ids_of(batch)
@@ -247,6 +250,15 @@ def test_the_gl3_f4_inverse_check_peaks_below_5_mb():
     assert peak < 5 * 2 ** 20
 
 
+def test_a_table_stores_each_element_as_its_row_codes():
+    # before any lazy data: n bytes of row codes and an 8-byte matrix code
+    # an element, next to the code -> id array
+    g = enumerate_gl(3, field_from_q(4), cap=200_000)
+    stored = sum(v.nbytes for k, v in vars(g).items()
+                 if isinstance(v, np.ndarray) and k != "id_of_code")
+    assert stored <= (g.n + 8) * g.order
+
+
 # -- products by a fixed matrix: row-code gathers ----------------------------------
 
 # every product path the pipeline meets: prime and extension fields, GL and O
@@ -259,13 +271,14 @@ def test_left_and_right_perms_equal_batched_products(name):
     enum, n, q = PRODUCT_GROUPS[name]
     g = enum(n, field_from_q(q))
     f = g.field
+    every = g.matrices(np.arange(g.order))
     ids = range(0, g.order, max(1, g.order // 40))
     assert len(ids) >= 40
     for i in ids:
         assert np.array_equal(g.id_perm(i),
-                              g.ids_of(mul_batch(g.mat, g.mat[i], n, f)))
+                              g.ids_of(mul_batch(every, g.matrices(i), n, f)))
         assert np.array_equal(g.id_perm(i, left=True),
-                              g.ids_of(mul_batch(g.mat[i], g.mat, n, f)))
+                              g.ids_of(mul_batch(g.matrices(i), every, n, f)))
 
 
 @pytest.mark.parametrize("enum,n,q,m", [
@@ -275,7 +288,7 @@ def test_left_and_right_perms_equal_batched_products(name):
 def test_a_product_by_a_non_member_names_the_missing_matrix(enum, n, q, m):
     g = enum(n, field_from_q(q))
     # x m is outside the group for every x, so id 0's product is named
-    first = mul_flat(tuple(g.mat[0].tolist()), m, n, g.field)
+    first = mul_flat(tuple(g.matrices(0).tolist()), m, n, g.field)
     with pytest.raises(InternalCheckError,
                        match=re.escape(f"matrix {first} not in")):
         g.perm(np.array(m, dtype=np.uint8))

@@ -157,6 +157,10 @@ MUTANTS = [
      "    if False:",
      "the squared degrees are not checked to sum to |G|"),
     ("chartab.py",
+     "        if order % d:",
+     "        if False:",
+     "a degree that does not divide |G| is kept"),
+    ("chartab.py",
      "    if len(mu) != r:",
      "    if False:",
      "_lagrange_split's root count is removed"),
@@ -166,6 +170,19 @@ MUTANTS = [
      "equivalent: the root count in _lagrange_split raises first on every "
      "corruption tried (all 4,914 single +1 corruptions of the class "
      "matrices of GL2(F2), GL2(F3), GL2(F4) and O3(F3))"),
+    # -- whole-group maps as one row-code gather
+    ("groups.py",
+     "    codes = tables[0].take(row_codes[0])",
+     "    codes = np.zeros(row_codes.shape[1], dtype=np.int64)",
+     "the gather skips row 0"),
+    ("groups.py",
+     "* q ** np.arange(n - 1, -1, -1)[:, None], self.row_codes))",
+     "* q ** np.arange(n)[:, None], self.row_codes))",
+     "the transpose weights are reversed"),
+    ("groups.py",
+     "_gather(shares, h.row_codes) + 1)",
+     "_gather(shares, h.row_codes))",
+     "the embedding drops the last row's 1"),
     # -- refusals before work
     ("groups.py",
      "        if not np.all(codes[1:] > codes[:-1]):",
