@@ -197,7 +197,7 @@ def test_cli_chartab_json_stdout(capsys):
     assert len(data["class_reps"]) == len(data["class_sizes"])
 
 
-@pytest.mark.parametrize("kind,n,q", [("gl", 2, 3), ("o", 3, 3)])
+@pytest.mark.parametrize("kind,n,q", [("gl", 3, 3), ("o", 4, 3)])
 def test_the_cache_file_is_the_json_output_plus_its_schema(tmp_path, capsys,
                                                            kind, n, q):
     from gelfand.chartab import CACHE_SCHEMA, cache_path

@@ -185,7 +185,7 @@ MUTANTS = [
      "the embedding drops the last row's 1"),
     # -- refusals before work
     ("groups.py",
-     "        if not np.all(codes[1:] > codes[:-1]):",
+     "        if not np.all(self.codes[1:] > self.codes[:-1]):",
      "        if False:",
      "the table's code-order check is removed"),
     ("pipeline.py",
