@@ -21,7 +21,7 @@ from .chartab import character_table, conjugacy_classes, table_payload
 from .cosets import double_cosets, involution_action
 from .errors import DomainError, InternalCheckError
 from .field import field_from_q
-from .groups import DEFAULT_GROUP_CAP, embed_standard
+from .groups import DEFAULT_GROUP_CAP, admit, embed_standard
 from .matrix import MatFq, format_matrix, mat_vec, parse_vector
 from .pipeline import (check_table_fits, default_points, enumerate_group,
                        make_cache_dir, run_sweep, run_verify)
@@ -81,6 +81,8 @@ def cmd_group_order(args) -> int:
 
 def cmd_cosets(args) -> int:
     field = field_from_q(args.q)
+    for size in (args.n + 1, args.n):
+        admit(args.pair, size, field)
     big = enumerate_group(args.pair, args.n + 1, field, args.cap_group_order)
     small = enumerate_group(args.pair, args.n, field, args.cap_group_order)
     emb = embed_standard(small, big)
@@ -312,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="verify a grid of pairs")
     _cache_flag(p_sweep)
-    p_sweep.add_argument("--threads", type=int, default=0,
-                         help="sweep parallelism; 0 = auto, 1 = sequential")
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="worker processes; 1 = sequential in this "
+                              "process (default), 0 = auto")
     p_sweep.add_argument("--kind", choices=("gl", "o", "all"), default="all")
     p_sweep.add_argument("--points",
                          help='explicit grid "kind:N:q,..." with N the BIG '

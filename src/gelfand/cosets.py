@@ -11,7 +11,7 @@ they are canonical for a fixed element order.
 The mod-center decomposition is built from the plain one.  H x HZ is the
 union of the plain cosets H z x H over z in Z, and Z is central, so it only
 permutes the plain cosets.  Each nontrivial z in Z acts on them as
-c -> coset_of[z rep_c], which is checked on every element, and the
+c -> coset_of[rep_c z], which is checked on every element, and the
 mod-center cosets are the orbits of these permutations on the plain coset
 ids.  Each plain representative is its coset's minimal id, so an orbit's
 minimal coset id carries the minimal id of the union: the representatives
@@ -89,50 +89,46 @@ def double_cosets(g: GroupTable, emb: Embedding, mod_center: bool = False,
                                     len(reps))
 
 
+def _induced(d: DoubleCosetDecomposition, image: np.ndarray,
+             what: str) -> np.ndarray:
+    """The map c -> coset_of[image[rep_c]] that the element map ``image``
+    induces on d's cosets, checked on every element x as coset_of[image[x]]
+    = perm[coset_of[x]]; a failure is raised as ``what``, naming x."""
+    coset_of = d.coset_of
+    perm = coset_of[image[d.reps]]
+    bad = np.flatnonzero(coset_of[image] != perm[coset_of])
+    if bad.size:
+        raise InternalCheckError(f"{what} (element id {bad[0]})")
+    return perm
+
+
 def _merge_by_center(plain: DoubleCosetDecomposition
                      ) -> DoubleCosetDecomposition:
-    """The mod-center decomposition: orbits on the plain cosets of the
-    permutations c -> coset_of[z rep_c] of the nontrivial central z, each
-    checked on every element as coset_of[x z] = perm[coset_of[x]]."""
-    g, coset_of = plain.group, plain.coset_of
-    perms = []
-    for z in g.center_ids():
-        if z == g.identity_id:
-            continue
-        right = g.id_perm(z)
-        perm = coset_of[right[plain.reps]]
-        bad = np.flatnonzero(coset_of[right] != perm[coset_of])
-        if bad.size:
-            raise InternalCheckError(
-                "the center does not permute the plain double cosets "
-                f"(element id {bad[0]})")
-        perms.append(perm)
+    """The mod-center decomposition: orbits on the plain cosets of the maps
+    induced by the nontrivial central z, x -> x z.  Each z is used once, so
+    its permutation is computed here, not kept in ``GroupTable.id_perm``."""
+    g = plain.group
+    perms = [_induced(plain, g.perm(g.matrices(z)),
+                      "the center does not permute the plain double cosets")
+             for z in g.center_ids() if z != g.identity_id]
     roots, merged = number_orbits(orbits(perms, plain.count))
     reps = np.asarray(plain.reps)[roots]
     return DoubleCosetDecomposition(g, plain.embedding, True,
-                                    merged.take(coset_of), reps.tolist(),
-                                    len(reps))
+                                    merged.take(plain.coset_of),
+                                    reps.tolist(), len(reps))
 
 
 def involution_action(d: DoubleCosetDecomposition) -> InvolutionAction:
     """Permutation induced on cosets by transpose, checked element by element."""
-    g = d.group
-    tr = g.transpose_ids
-    coset_of = d.coset_of
-    perm = coset_of[tr[d.reps]]
-    bad = np.flatnonzero(coset_of[tr] != perm[coset_of])
-    if bad.size:
-        raise InternalCheckError(
-            "transpose is not well defined on double cosets "
-            f"(element id {bad[0]})")
-    perm = perm.tolist()
-    for c, t in enumerate(perm):
-        if perm[t] != c:
-            raise InternalCheckError("coset transpose action is not an involution")
-    fixed = sum(1 for c, t in enumerate(perm) if t == c)
+    perm = _induced(d, d.group.transpose_ids,
+                    "transpose is not well defined on double cosets")
+    ids = np.arange(d.count)
+    if not np.array_equal(perm[perm], ids):
+        raise InternalCheckError("coset transpose action is not an involution")
+    fixed = int(np.count_nonzero(perm == ids))
     # the involution check pairs every non-fixed coset with its image, so
     # the non-fixed count is even
-    return InvolutionAction(d, perm, fixed, d.count - fixed)
+    return InvolutionAction(d, perm.tolist(), fixed, d.count - fixed)
 
 
 def classify_nonfixed_gl(a: InvolutionAction) -> list[str]:

@@ -2,16 +2,17 @@
 
 A GroupTable stores each element once, as the base-q codes of its n rows
 (``row_codes``, shape (n, order)), in the lexicographic order of the
-entries; the int64 matrix ``codes`` (the row codes as base-q^n digits)
-increase with that order.  Only ``matrices`` builds entry arrays.
+entries, so the int64 matrix codes (the row codes as base-q^n digits)
+increase with the ids.  Only ``matrices`` builds entry arrays.
 ``ids_of_codes`` maps matrix codes to element ids and raises, naming the
 matrix, if any is not in the group, so every batched lookup is also a
-membership check; ``ids_of`` encodes a uint8 batch first.  Where the
-q^(n^2) codes number at most 4 |G| (every GL_n, since |GL_n| / q^(n^2) =
-prod (1 - q^-i) > 0.288, and no O_n with n >= 2) the lookup is one gather
-from the int32 code -> id array ``id_of_code``, -1 off the group; elsewhere
-it is a binary search of ``codes``.  The fixed order makes coset and class
-representatives and reports reproducible bit for bit.
+membership check; ``ids_of`` encodes a uint8 batch first.  A table keeps one
+code -> id index.  Where the q^(n^2) codes number at most 4 |G| (every GL_n,
+since |GL_n| / q^(n^2) = prod (1 - q^-i) > 0.288, and no O_n with n >= 2) it
+is the int32 array ``id_of_code``, -1 off the group, and a lookup is one
+gather; elsewhere it is the sorted ``codes``, binary searched.  The fixed
+order makes coset and class representatives and reports reproducible bit
+for bit.
 
 A whole-group map that acts row by row is one ``_gather``: the image code
 of x is the sum over i of table i read at row_i(x).  For x m, m fixed
@@ -38,15 +39,17 @@ orbits of a set of id permutations by their minimal element id, and
 ``number_orbits`` numbers them in the order of those ids; double cosets and
 conjugacy classes are orbits of this kind.
 
-GL is enumerated by extending linearly independent row prefixes, as row
-codes (the span of the chosen rows is carried along, so the q^(n^2) ambient
-space is never filtered).  O is the group of the identity bilinear form,
-enumerated the same way by extending orthonormal row prefixes (each prefix
-carries the mask of unit vectors orthogonal to all its rows).  Every O
-table is checked three ways: g^T g = I for every element, the closed-form
-order, and the closure over the hyperplane reflections in id order must
-reach every element.  GL's candidates are a transvection, the n-cycle and
-diag(g, 1, ..., 1) for a primitive g, which generate GL_n(F_q).
+``admit`` alone decides which (kind, n, q) may be built, and its closed-form
+order: both enumerators call it before any allocation, and every table must
+hold that many rows.  GL is enumerated by extending linearly independent row
+prefixes, as row codes (the span of the chosen rows is carried along, so the
+q^(n^2) ambient space is never filtered).  O is the group of the identity
+bilinear form, enumerated the same way by extending orthonormal row prefixes
+(each prefix carries the mask of unit vectors orthogonal to all its rows).
+Every O table is checked three ways: g^T g = I for every element, the
+closed-form order, and the closure over the hyperplane reflections in id
+order must reach every element.  GL's candidates are a transvection, the
+n-cycle and diag(g, 1, ..., 1) for a primitive g, which generate GL_n(F_q).
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import numpy as np
 
 from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import Fq
-from .matrix import MatFq, identity_flat, mul_batch, mul_flat
+from .matrix import MatFq, _inner, identity_flat, mul_batch, mul_flat
 
 DEFAULT_GROUP_CAP = 25_000
 # largest block of right-regular rows built at once, in int32 entries
@@ -86,12 +89,23 @@ def o_order(n: int, field: Fq) -> int:
     return order * q ** (m * (m - 1)) * (q ** m - 1 if plus else q ** m + 1)
 
 
-def check_code_range(n: int, q: int) -> None:
-    """Base-q codes of n x n matrices must fit in an int64.  Every q >= 2
-    overflows once n^2 >= 63, so the power is only taken below that."""
-    if n * n >= 63 or q ** (n * n) >= 2 ** 63:
+def admit(kind: str, n: int, field: Fq) -> int:
+    """|KIND_n(F_q)| by its closed form, for kind "gl" or "o" in either case.
+    Refuses by cause, in this order, whatever the input's size: an unknown
+    kind, n < 1, O over even q (reflections divide by 2); then, as a cap,
+    matrix codes past int64, which every q >= 2 reaches once n^2 >= 63."""
+    kind = kind.lower()
+    if kind not in ("gl", "o"):
+        raise DomainError(f"unknown pair kind {kind!r}")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if kind == "o" and field.p == 2:
+        raise DomainError(
+            "orthogonal pipeline requires odd q (reflections divide by 2)")
+    if n * n >= 63 or field.q ** (n * n) >= 2 ** 63:
         raise CapExceededError(
-            f"codes of {n}x{n} matrices over F_{q} overflow int64")
+            f"codes of {n}x{n} matrices over F_{field.q} overflow int64")
+    return gl_order(n, field.q) if kind == "gl" else o_order(n, field)
 
 
 def encode(batch: np.ndarray, q: int) -> np.ndarray:
@@ -160,7 +174,7 @@ class GroupTable:
     """Indexed element table of an enumerated matrix group."""
 
     def __init__(self, kind: str, n: int, field: Fq, rows):
-        check_code_range(n, field.q)
+        self.order = admit(kind, n, field)
         self.kind = kind
         self.n = n
         self.field = field
@@ -170,21 +184,22 @@ class GroupTable:
         rows = np.asarray(rows).reshape(-1, n)
         self.row_codes = np.ascontiguousarray(
             rows.T, dtype=np.min_scalar_type(field.q ** n - 1))
-        self.codes = encode(rows, field.q ** n)
+        codes = encode(rows, field.q ** n)
         # row extension enumerates in code order; this also refuses
         # duplicate rows
-        if not np.all(self.codes[1:] > self.codes[:-1]):
+        if not np.all(codes[1:] > codes[:-1]):
             raise InternalCheckError(
                 "group table rows are not in strictly increasing code order")
-        self.order = len(self.codes)
-        # code -> id, -1 off the group, wherever the group is dense enough
-        # in the q^(n^2) matrices for the array to cost at most 16 bytes an
-        # element; None sends ``ids_of_codes`` to binary search
-        self.id_of_code = None
+        if len(codes) != self.order:
+            raise InternalCheckError(f"{kind}_{n}(F_{field.q}) table has "
+                                     f"{len(codes)} elements, not {self.order}")
+        # one code -> id index: the direct array where it costs at most 16
+        # bytes an element, else the sorted codes
+        self.id_of_code, self.codes = None, codes
         if field.q ** (n * n) <= 4 * self.order:
             self.id_of_code = np.full(field.q ** (n * n), -1, dtype=np.int32)
-            self.id_of_code[self.codes] = np.arange(self.order,
-                                                    dtype=np.int32)
+            self.id_of_code[codes] = np.arange(self.order, dtype=np.int32)
+            self.codes = None
         self.identity_id = self.id_of_entries(identity_flat(n))
         # both set by ``_close`` on the first read of ``generator_ids``
         self._generator_ids = None
@@ -450,10 +465,9 @@ def enumerate_gl(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
     new row is any vector outside it and the q^(n^2) ambient space is never
     filtered."""
     q = field.q
-    check_code_range(n, q)
-    expected = gl_order(n, q)
-    if expected > cap:
-        raise CapExceededError(f"|GL_{n}(F_{q})| = {expected} exceeds cap {cap}")
+    order = admit("gl", n, field)
+    if order > cap:
+        raise CapExceededError(f"|GL_{n}(F_{q})| = {order} exceeds cap {cap}")
     add, mul = field.arrays()
     vectors = decode(np.arange(q ** n), n, q)
     scalars = np.arange(q)[:, None]
@@ -471,21 +485,8 @@ def enumerate_gl(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
             span = add[span[prefix][:, :, None, :],
                        mul[scalars, vectors[v][:, None, :]][:, None]]
             span = span.reshape(len(prefix), -1, n)
-    if len(prefixes) != expected:
-        raise InternalCheckError(
-            f"GL enumeration produced {len(prefixes)} elements, "
-            f"expected {expected}")
+    del outside, prefix, v  # the last depth's mask and index pair
     return GroupTable("GL", n, field, prefixes)
-
-
-def _inner(a: np.ndarray, b: np.ndarray, field: Fq) -> np.ndarray:
-    """<a, b> = sum_i a_i b_i over the last axis of two broadcastable uint8
-    arrays, folded through the field's add and mul tables."""
-    add, mul = field.arrays()
-    out = mul[a[..., 0], b[..., 0]]
-    for i in range(1, a.shape[-1]):
-        out = add[out, mul[a[..., i], b[..., i]]]
-    return out
 
 
 def unit_vectors(n: int, field: Fq) -> np.ndarray:
@@ -517,14 +518,10 @@ def enumerate_o(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
     closed-form order; and the closure over the reflections in id order
     reaches exactly the table (Cartan-Dieudonne), every product being
     looked up by ``ids_of``."""
-    if field.p == 2:
-        raise DomainError(
-            "orthogonal pipeline requires odd q (reflections divide by 2)")
     q = field.q
-    check_code_range(n, q)
-    expected = o_order(n, field)
-    if expected > cap:
-        raise CapExceededError(f"|O_{n}(F_{q})| = {expected} exceeds cap {cap}")
+    order = admit("o", n, field)
+    if order > cap:
+        raise CapExceededError(f"|O_{n}(F_{q})| = {order} exceeds cap {cap}")
     units = unit_vectors(n, field)
     orthogonal = _inner(units[:, None], units[None], field) == 0
     prefixes = np.zeros((1, 0), dtype=np.min_scalar_type(q ** n - 1))
@@ -535,10 +532,6 @@ def enumerate_o(n: int, field: Fq, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
         prefixes = np.column_stack((prefixes[prefix], unit_codes[u]))
         if depth + 1 < n:
             allowed = allowed[prefix] & orthogonal[u]
-    if len(prefixes) != expected:
-        raise InternalCheckError(
-            f"orthonormal row extension has {len(prefixes)} elements, but "
-            f"|O_{n}(F_{q})| = {expected}")
     entries = decode(prefixes.ravel(), n, q).reshape(-1, n, n)
     gram = mul_batch(entries.transpose(0, 2, 1), entries.reshape(-1, n * n),
                      n, field)

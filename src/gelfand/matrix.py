@@ -48,6 +48,16 @@ def mul_flat(a: tuple, b: tuple, n: int, field: Fq) -> tuple:
     return _mul_entries(a, b, n, n, n, field)
 
 
+def _inner(a: np.ndarray, b: np.ndarray, field: Fq) -> np.ndarray:
+    """<a, b> = sum_i a_i b_i over the last axis of two broadcastable uint8
+    arrays, folded through the field's add and mul tables."""
+    add, mul = field.arrays()
+    out = mul[a[..., 0], b[..., 0]]
+    for i in range(1, a.shape[-1]):
+        out = add[out, mul[a[..., i], b[..., i]]]
+    return out
+
+
 def mul_batch(a: np.ndarray, b: np.ndarray, n: int, field: Fq) -> np.ndarray:
     """Row-wise products a @ b of n x n matrices stored as uint8 rows of n^2
     entries.  Either side may be a single row, which then multiplies every
@@ -55,18 +65,15 @@ def mul_batch(a: np.ndarray, b: np.ndarray, n: int, field: Fq) -> np.ndarray:
 
     Prime fields use an int16 matmul reduced mod p; with p < 25 and n <= 7
     (the int64 code limit) a sum of n products stays far below 2^15.
-    GF(p^e) folds the n terms of each entry through the field's add and mul
-    tables.  The result is a uint8 batch of shape (rows, n^2).
+    GF(p^e) takes entry (i, j) as the ``_inner`` fold of row i of a with
+    column j of b.  The result is a uint8 batch of shape (rows, n^2).
     """
     a = np.asarray(a, dtype=np.uint8).reshape(-1, n, n)
     b = np.asarray(b, dtype=np.uint8).reshape(-1, n, n)
     if field.e == 1:
         out = (a.astype(np.int16) @ b.astype(np.int16)) % field.p
     else:
-        add, mul = field.arrays()
-        out = mul[a[:, :, 0, None], b[:, None, 0, :]]
-        for r in range(1, n):
-            out = add[out, mul[a[:, :, r, None], b[:, None, r, :]]]
+        out = _inner(a[:, :, None, :], b.transpose(0, 2, 1)[:, None], field)
     return out.astype(np.uint8).reshape(-1, n * n)
 
 

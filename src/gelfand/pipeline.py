@@ -3,9 +3,10 @@
 A run for (kind, n, q) checks the pair (KIND_{n+1}(F_q), KIND_n(F_q)):
 enumerate both groups, embed, decompose into double cosets (plain and mod
 center), act by transpose, build the character table, compute invariant
-dimensions, and evaluate the named checks.  Grid points in sweep specs are
-written with the size of the BIG group, matching the usual pair naming;
-run_verify itself takes the small size n.
+dimensions, and evaluate the named checks.  ``groups.admit`` takes the big
+group, then the small one, before either is enumerated.  Grid points in
+sweep specs are written with the size of the BIG group, matching the usual
+pair naming; run_verify itself takes the small size n.
 
 Reports serialize to JSON deterministically: byte-identical across runs
 except for the "timings" field, which is excluded from the canonical
@@ -25,9 +26,8 @@ from .chartab import (_sums_exact, character_table, conjugacy_classes,
 from .cosets import classify_nonfixed_gl, double_cosets, involution_action
 from .errors import CapExceededError, DomainError
 from .field import Fq, field_from_q
-from .groups import (DEFAULT_GROUP_CAP, GroupTable, check_code_range,
-                     embed_standard, enumerate_gl, enumerate_o, gl_order,
-                     o_order)
+from .groups import (DEFAULT_GROUP_CAP, GroupTable, admit, embed_standard,
+                     enumerate_gl, enumerate_o)
 
 REPORT_SCHEMA = "gelfand-report/1"
 
@@ -99,25 +99,18 @@ class VerificationReport:
 
 def enumerate_group(kind: str, n: int, field: Fq,
                     cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
-    """KIND_n(F_q) for kind "gl" or "o"."""
+    """KIND_n(F_q) for kind "gl" or "o", in either case."""
+    admit(kind, n, field)
     # looked up per call, so a replaced enumerate_gl or enumerate_o is used
-    enum = {"gl": enumerate_gl, "o": enumerate_o}.get(kind)
-    if enum is None:
-        raise DomainError(f"unknown pair kind {kind!r}")
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    enum = enumerate_gl if kind.lower() == "gl" else enumerate_o
     return enum(n, field, cap)
 
 
 def check_table_fits(kind: str, n: int, field: Fq) -> None:
-    """Refuse, before it is enumerated, a group whose character table no
-    modulus keeps exact: the first of ``character_table``'s bounds fails
-    already at the smallest modulus it could use, l = 2|G| + 1.  Matrix
-    codes past int64 are refused first, before |G| is computed."""
-    if kind not in ("gl", "o") or n < 1:
-        return  # enumerate_group names the unknown kind or the bad n
-    check_code_range(n, field.q)
-    order = gl_order(n, field.q) if kind == "gl" else o_order(n, field)
+    """Refuse, before it is enumerated, a group that ``admit`` refuses or
+    whose character table no modulus keeps exact: ``character_table``'s
+    first bound fails already at its smallest modulus, l = 2|G| + 1."""
+    order = admit(kind, n, field)
     if not _sums_exact(order, 1, 2 * order + 1):
         raise CapExceededError(
             f"|{kind.upper()}_{n}(F_{field.q})| = {order} is too large for "
@@ -156,6 +149,7 @@ def run_verify(kind: str, n: int, q: int, *,
     make_cache_dir(cache_dir)
     field = staged("field", lambda: field_from_q(q))
     check_table_fits(kind, n + 1, field)
+    admit(kind, n, field)
     big = staged("enumerate_group",
                  lambda: enumerate_group(kind, n + 1, field, cap))
     small = staged("enumerate_subgroup",

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import CapExceededError, DomainError
 from .field import Fq
-from .groups import _inner, _reflection_entries, unit_vectors
-from .matrix import MatFq
+from .groups import _reflection_entries, unit_vectors
+from .matrix import MatFq, _inner
 
 SPHERE_ENUM_CAP = 10 ** 7
 

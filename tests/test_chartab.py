@@ -15,7 +15,8 @@ from gelfand.chartab import (cache_path, character_table, choose_modulus,
                              _poly_roots, _rref, _separator,
                              _smallest_primitive_root, _split_eigenspaces)
 from gelfand.cosets import double_cosets, involution_action
-from gelfand.errors import CapExceededError, InternalCheckError
+from gelfand.errors import (CapExceededError, DomainError,
+                            InternalCheckError)
 from gelfand.field import field_from_q
 from gelfand.groups import (embed_identity, embed_standard, enumerate_gl,
                             enumerate_o)
@@ -787,8 +788,11 @@ def test_corrupt_cache_values_fail_orthogonality(tmp_path):
     lambda p: p["values"][0].__setitem__(0, p["l"]),
     lambda p: p.update(l=5),
     lambda p: p.update(l=2 ** 31 - 1),
+    lambda p: p["class_reps"].reverse(),
+    lambda p: p["class_sizes"].reverse(),
 ], ids=["no-l", "no-values", "root-not-int", "short-degrees", "short-row",
-        "value-not-below-l", "l-too-small", "l-past-exact-sums"])
+        "value-not-below-l", "l-too-small", "l-past-exact-sums",
+        "other-class-reps", "other-class-sizes"])
 def test_a_cache_with_missing_keys_or_wrong_shapes_is_a_miss(tmp_path,
                                                              corrupt):
     import json
@@ -831,3 +835,27 @@ def test_truncated_cache_is_replaced_atomically(tmp_path, monkeypatch):
         save_character_table(t, tmp_path)
     assert path.read_text() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_vanishing_degree_denominator_is_caught(monkeypatch):
+    g, classes = build("gl", 2, 3)
+    split = chartab._split_eigenspaces
+
+    def one_zero_character(*args):
+        vecs = split(*args)
+        vecs[:, -1] = 0
+        return vecs
+
+    monkeypatch.setattr(chartab, "_split_eigenspaces", one_zero_character)
+    with pytest.raises(InternalCheckError,
+                       match="degree denominator vanished mod l"):
+        character_table(g, classes)
+
+
+def test_invariants_need_an_embedding_into_the_table_group():
+    g, classes = build("gl", 2, 3)
+    t = character_table(g, classes)
+    other = enumerate_gl(2, field_from_q(3))
+    with pytest.raises(DomainError,
+                       match="embedding does not target the table's group"):
+        dim_invariants(t, embed_identity(other))

@@ -283,6 +283,24 @@ def test_an_empty_cache_dir_is_unset(from_env, tmp_path, capsys,
     assert list(tmp_path.glob("chartab-*.json")) == []
 
 
+def test_a_sweep_of_the_default_grid_runs_in_this_process(monkeypatch,
+                                                          capsys):
+    from gelfand import pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(pipeline, "_pool_rows", refuse)
+    assert main(["sweep", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["all_pass"] is True
+    assert [(p["pair"]["kind"], p["pair"]["n"], p["pair"]["q"])
+            for p in data["points"]] == default_points()
+    summary = run_sweep()
+    assert summary.all_passed
+    assert [(r.kind, r.n, r.q) for r in summary.rows] == default_points()
+
+
 def test_cli_sweep_empty_points(capsys):
     assert main(["sweep", "--points", ""]) == 0
     assert "0 points" in capsys.readouterr().out
@@ -301,6 +319,8 @@ def test_cli_sweep_bad_points(capsys):
     assert main(["sweep", "--points", "gl:2"]) == 2
     assert main(["sweep", "--points", "sp:2:3"]) == 2
     assert main(["sweep", "--points", "gl:x:2"]) == 2
+    assert main(["sweep", "--points", "gl:1:2"]) == 2
+    assert "N must be >= 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -506,6 +526,44 @@ def test_sweep_domain_and_cap_errors_exit_1(tmp_path, capsys):
     assert "domain error:" in capsys.readouterr().out
     data = json.loads((tmp_path / "summary.json").read_text())
     assert [p["error_kind"] for p in data["points"]] == ["domain", "cap"]
+
+
+def test_even_q_o_is_a_domain_error_at_every_size(capsys):
+    # O6(F4)'s matrix codes overflow int64 and O2(F4)'s do not; both are
+    # refused for q, by verify and by sweep alike
+    for n in (5, 1):
+        assert main(["verify", "--kind", "o", "--n", str(n),
+                     "--q", "4"]) == 2
+        assert "requires odd q" in capsys.readouterr().err
+    summary = run_sweep([("o", 5, 4), ("o", 1, 4)])
+    assert [r.error_kind for r in summary.rows] == ["domain", "domain"]
+    assert all("requires odd q" in r.error for r in summary.rows)
+
+
+def test_the_small_group_is_admitted_before_either_is_enumerated(
+        monkeypatch, capsys):
+    from gelfand import pipeline
+    from gelfand.errors import DomainError
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(pipeline, "enumerate_gl", refuse)
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        run_verify("gl", 0, 2)
+    assert main(["cosets", "--pair", "gl", "--n", "0", "--q", "2"]) == 2
+    assert "n must be >= 1" in capsys.readouterr().err
+
+
+def test_enumerate_group_takes_either_case_and_refuses_other_kinds():
+    from gelfand.errors import DomainError
+    from gelfand.field import field_from_q
+    from gelfand.pipeline import enumerate_group
+    f3 = field_from_q(3)
+    assert enumerate_group("GL", 2, f3).kind == "GL"
+    assert enumerate_group("O", 2, f3).kind == "O"
+    with pytest.raises(DomainError, match="unknown pair kind 'sp'"):
+        enumerate_group("sp", 2, f3)
 
 
 @pytest.mark.parametrize("argv", [

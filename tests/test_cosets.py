@@ -152,6 +152,14 @@ def test_a_center_that_does_not_permute_the_plain_cosets_is_caught(f3):
         double_cosets(g, emb, True, fake)
 
 
+def test_cosets_need_an_embedding_into_the_group(f3):
+    g, emb = make_pair("gl", 1, 3)
+    other = enumerate_gl(2, f3)
+    with pytest.raises(InternalCheckError,
+                       match="embedding does not target this group"):
+        double_cosets(other, emb)
+
+
 def test_mod_center_needs_the_plain_cosets_of_the_same_pair(f3):
     g, emb = make_pair("gl", 1, 3)
     plain = double_cosets(g, emb)

@@ -129,6 +129,8 @@ def test_field_from_q_rejects_non_prime_powers():
         field_from_q(6)
     with pytest.raises(DomainError):
         field_from_q(12)
+    with pytest.raises(DomainError, match="q = 1 is not a prime power"):
+        field_from_q(1)
     assert field_from_q(9).p == 3
 
 

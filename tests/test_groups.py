@@ -7,8 +7,9 @@ import numpy as np
 from gelfand import groups
 from gelfand.errors import CapExceededError, DomainError, InternalCheckError
 from gelfand.field import build_field, field_from_q
-from gelfand.groups import (GroupTable, embed_identity, embed_standard,
-                            enumerate_gl, enumerate_o, gl_order, o_order)
+from gelfand.groups import (Embedding, GroupTable, embed_identity,
+                            embed_standard, enumerate_gl, enumerate_o,
+                            gl_order, o_order)
 from gelfand.matrix import MatFq, mul_flat
 
 
@@ -202,12 +203,82 @@ def test_group_table_rows_out_of_code_order_or_repeated_are_refused():
             GroupTable("GL", 1, f3, rows)
 
 
+def test_a_table_of_the_wrong_size_is_refused():
+    # in code order, but GL1(F3) has 2 elements
+    with pytest.raises(InternalCheckError,
+                       match=r"GL_1\(F_3\) table has 1 elements, not 2"):
+        GroupTable("GL", 1, field_from_q(3), [[1]])
+
+
+@pytest.mark.parametrize("enum,q", [(enumerate_gl, 2), (enumerate_o, 3)])
+def test_n_zero_is_a_domain_error(enum, q):
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        enum(0, field_from_q(q))
+
+
+def test_admit_refuses_by_cause_in_order():
+    f4, f3 = field_from_q(4), field_from_q(3)
+    # each input has every later cause too: the first one names it
+    for kind, n, field, match in (("sp", 0, f4, "unknown pair kind 'sp'"),
+                                  ("o", 0, f4, "n must be >= 1"),
+                                  ("o", 100, f4, "requires odd q")):
+        with pytest.raises(DomainError, match=match) as info:
+            groups.admit(kind, n, field)
+        assert not isinstance(info.value, CapExceededError)
+    with pytest.raises(CapExceededError, match="8x8 matrices over F_3"):
+        groups.admit("o", 8, f3)
+    assert groups.admit("GL", 2, f3) == gl_order(2, 3)
+    assert groups.admit("O", 3, f3) == o_order(3, f3) == 48
+
+
+def test_o_order_is_never_asked_for_an_even_q():
+    import sys
+    from gelfand.pipeline import check_table_fits, run_verify
+    seen = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is o_order.__code__:
+            seen.append(frame.f_locals["field"].q)
+
+    sys.setprofile(watch)
+    try:
+        for n, q in ((1, 4), (2, 2), (5, 4)):
+            for refuse in (lambda: run_verify("o", n, q),
+                           lambda: check_table_fits("o", n + 1,
+                                                    field_from_q(q)),
+                           lambda: enumerate_o(n, field_from_q(q))):
+                with pytest.raises(DomainError, match="requires odd q"):
+                    refuse()
+        check_table_fits("o", 2, field_from_q(3))
+    finally:
+        sys.setprofile(None)
+    assert seen == [3]
+
+
 def test_codes_past_int64_are_refused_before_enumeration():
     f25 = field_from_q(25)  # 25^16 > 2^63
     with pytest.raises(CapExceededError, match="int64"):
         enumerate_o(4, f25)
     with pytest.raises(CapExceededError, match="int64"):
         GroupTable("GL", 4, f25, np.zeros((0, 16), dtype=np.uint8))
+
+
+def test_an_o_row_extension_off_the_group_is_caught(f3, monkeypatch):
+    # pairwise orthogonal rows of norm 2, as many pairs as O2(F3) has
+    # elements, but g^T g = 2 I
+    twos = np.array([[1, 1], [1, 2], [2, 1], [2, 2]], dtype=np.uint8)
+    monkeypatch.setattr(groups, "unit_vectors", lambda n, field: twos)
+    with pytest.raises(InternalCheckError,
+                       match="row extension left the orthogonal group"):
+        enumerate_o(2, f3)
+
+
+def test_index_of_refuses_a_matrix_of_another_shape_or_field(f2, f3):
+    table = enumerate_gl(2, f3)
+    for m in (MatFq.identity(f3, 3), MatFq.identity(f2, 2)):
+        with pytest.raises(DomainError,
+                           match="shape or field does not match group"):
+            table.index_of(m)
 
 
 def test_every_o_element_is_orthogonal(f3):
@@ -237,6 +308,15 @@ def test_center_o3_f3(f3):
     zs = {table.elements[i].entries for i in table.center_ids()}
     assert zs == {MatFq.identity(f3, 3).entries,
                   tuple(2 if i == j else 0 for i in range(3) for j in range(3))}
+
+
+def test_a_gl_center_other_than_the_scalars_is_caught(f3):
+    table = enumerate_gl(2, f3)
+    # with no generators to commute with, every element looks central
+    table.__dict__["generator_perms"] = ([], [])
+    with pytest.raises(InternalCheckError,
+                       match="GL center does not equal the scalar matrices"):
+        table.center_ids()
 
 
 def test_center_commutes_with_everything(f3):
@@ -329,6 +409,21 @@ def test_embed_requires_matching_shape(f2, f3):
         embed_standard(enumerate_gl(1, f2), enumerate_gl(3, f2))
     with pytest.raises(DomainError):
         embed_standard(enumerate_gl(1, f2), enumerate_gl(2, f3))
+
+
+def test_an_embedding_that_is_not_injective_is_caught(f2):
+    g = enumerate_gl(2, f2)
+    with pytest.raises(InternalCheckError, match="not injective"):
+        Embedding(g, g, [0] * g.order)
+
+
+def test_an_embedding_that_moves_the_identity_is_caught(f3):
+    h, g = enumerate_gl(1, f3), enumerate_gl(2, f3)
+    # GL1(F3) = {1, 2}: name 2 as the identity, so it maps to diag(2, 1)
+    h.identity_id = 1 - h.identity_id
+    with pytest.raises(InternalCheckError,
+                       match="embedding does not preserve the identity"):
+        embed_standard(h, g)
 
 
 def test_embed_identity(f2):

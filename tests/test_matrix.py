@@ -142,6 +142,8 @@ def test_literal_roundtrip(f5):
     assert format_vector(v) == "1,0,3"
     with pytest.raises(DomainError):
         parse_vector(f5, "1,7")
+    with pytest.raises(DomainError, match="bad vector literal"):
+        parse_vector(f5, "1,x")
     with pytest.raises(DomainError):
         parse_matrix(f5, "1,x")
 

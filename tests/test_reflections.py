@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from gelfand.errors import DomainError
+from gelfand.errors import CapExceededError, DomainError
 from gelfand.field import build_field, field_from_q
 from gelfand.groups import enumerate_o
 from gelfand.matrix import MatFq, mat_vec, vec_dot
@@ -100,6 +100,17 @@ def test_swap_rejects_characteristic_two(f2, f4):
 def test_swap_rejects_non_unit_vectors(f3):
     with pytest.raises(DomainError):
         swap_element(f3, (1, 1), (1, 0))  # <u,u> = 2
+
+
+def test_swap_rejects_vectors_of_unequal_length(f3):
+    with pytest.raises(DomainError, match="same length"):
+        swap_element(f3, (1, 0), (1, 0, 0))
+
+
+def test_sphere_points_are_refused_past_the_cap(f3):
+    # 3^100 candidate vectors: refused before any is built
+    with pytest.raises(CapExceededError, match="exceeds sphere cap"):
+        sphere_points(100, f3)
 
 
 def test_swap_elements_act_transitively(f3):

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from gelfand.errors import CapExceededError, DomainError
+from gelfand import symsolve
+from gelfand.errors import CapExceededError, DomainError, InternalCheckError
 from gelfand.field import build_field, field_from_q
 from gelfand.matrix import MatFq, mat_vec, vec_dot
 from gelfand.symsolve import (ORACLE_SEARCH_CAP, _symmetric_stock,
@@ -56,6 +57,26 @@ def test_zero_vectors_rejected(f3):
         solve_symmetric(f3, (1, 0), (0, 0))
     with pytest.raises(DomainError):
         oracle_symmetric(f3, (0, 0), (1, 0))
+
+
+@pytest.mark.parametrize("phi,v", [((1, 0), (1,)), ((), ())])
+def test_vectors_of_unequal_or_no_length_are_refused(f3, phi, v):
+    for solve in (solve_symmetric, oracle_symmetric):
+        with pytest.raises(DomainError,
+                           match="nonempty vectors of equal length"):
+            solve(f3, phi, v)
+
+
+@pytest.mark.parametrize("rows,phi,v,match", [
+    ([[1, 1], [0, 1]], (1, 0), (1, 0), "non-symmetric"),
+    ([[1, 0], [0, 0]], (1, 0), (1, 0), "singular"),
+    ([[1, 0], [0, 1]], (1, 0), (0, 1), r"does not map \(1, 0\) to \(0, 1\)"),
+], ids=["non-symmetric", "singular", "wrong-image"])
+def test_a_wrong_solver_output_is_caught(f3, monkeypatch, rows, phi, v,
+                                         match):
+    monkeypatch.setattr(symsolve, "_solve", lambda field, phi, v: rows)
+    with pytest.raises(InternalCheckError, match=match):
+        solve_symmetric(f3, phi, v)
 
 
 @pytest.mark.parametrize("phi,v,entry", [((5, 0), (1, 0), 5),

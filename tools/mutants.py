@@ -77,23 +77,19 @@ MUTANTS = [
      "            if r > degree:",
      "            if r > degree + 1:",
      "dim_invariants lifts into [0, degree + 1]"),
-    # -- the transpose action on double cosets
+    # -- the center's and transpose's actions on double cosets
     ("cosets.py",
-     "        if bad.size:\n            raise InternalCheckError(\n"
-     "                \"the center does not permute",
-     "        if False:\n            raise InternalCheckError(\n"
-     "                \"the center does not permute",
-     "the center's action on the plain cosets is not checked"),
+     "    if bad.size:",
+     "    if False:",
+     "an induced coset action is not checked element by element"),
     ("cosets.py",
-     "    if bad.size:\n        raise InternalCheckError(\n"
-     "            \"transpose is not well defined",
-     "    if False:\n        raise InternalCheckError(\n"
-     "            \"transpose is not well defined",
-     "transpose's action on cosets is not checked element by element"),
-    ("cosets.py",
-     "        if perm[t] != c:",
-     "        if False:",
+     "    if not np.array_equal(perm[perm], ids):",
+     "    if False:",
      "the coset action is not checked to be an involution"),
+    ("cosets.py",
+     "    if emb.big is not g:",
+     "    if False:",
+     "double_cosets takes an embedding into another group"),
     ("cosets.py",
      "    if len(nf) != 2 or a.perm[nf[0]] != nf[1]:",
      "    if False:",
@@ -161,6 +157,22 @@ MUTANTS = [
      "        if False:",
      "a degree that does not divide |G| is kept"),
     ("chartab.py",
+     "        if s == 0:",
+     "        if False:",
+     "a vanishing degree denominator is inverted anyway"),
+    ("chartab.py",
+     "            if m >= g.order:",
+     "            if False:",
+     "_block_orders walks powers that never reach the identity"),
+    ("chartab.py",
+     "        return None  # stale cache for a different enumeration",
+     "        pass",
+     "a cached table for other class data is used"),
+    ("chartab.py",
+     "    if emb.big is not t.group:",
+     "    if False:",
+     "dim_invariants takes an embedding into another group"),
+    ("chartab.py",
      "    if len(mu) != r:",
      "    if False:",
      "_lagrange_split's root count is removed"),
@@ -183,20 +195,69 @@ MUTANTS = [
      "_gather(shares, h.row_codes) + 1)",
      "_gather(shares, h.row_codes))",
      "the embedding drops the last row's 1"),
-    # -- refusals before work
+    # -- the group tables' own checks
     ("groups.py",
-     "        if not np.all(self.codes[1:] > self.codes[:-1]):",
+     "                if center != sorted(self.ids_of(scalars).tolist()):",
+     "                if False:",
+     "the GL center is not compared with the scalar matrices"),
+    ("groups.py",
+     "    if np.any(gram != np.array(identity_flat(n), dtype=np.uint8)):",
+     "    if False:",
+     "O's g^T g = I check is removed"),
+    ("groups.py",
+     "        if len(set(map_ids)) != len(map_ids):",
+     "        if False:",
+     "an embedding is not checked to be injective"),
+    ("groups.py",
+     "    if map_ids[h.identity_id] != g.identity_id:",
+     "    if False:",
+     "embed_standard does not check the identity's image"),
+    # -- refusals before work: admit, in the order of the causes
+    ("groups.py",
+     '    if kind not in ("gl", "o"):',
+     "    if False:",
+     "admit takes an unknown kind for O"),
+    ("groups.py",
+     "    if n < 1:",
+     "    if False:",
+     "admit takes n < 1"),
+    ("groups.py",
+     '    if kind == "o" and field.p == 2:',
+     "    if False:",
+     "admit takes O over an even q"),
+    ("groups.py",
+     "    if n * n >= 63 or field.q ** (n * n) >= 2 ** 63:",
+     "    if n * n >= 63:",
+     "admit takes codes past int64 below n^2 = 63"),
+    ("groups.py",
+     "        if not np.all(codes[1:] > codes[:-1]):",
      "        if False:",
      "the table's code-order check is removed"),
+    ("groups.py",
+     "        if len(codes) != self.order:",
+     "        if False:",
+     "the table's count is not checked against the closed form"),
     ("pipeline.py",
-     '    if kind not in ("gl", "o") or n < 1:\n        return',
-     "    if True:\n        return",
-     "check_table_fits refuses nothing"),
+     "    if not _sums_exact(order, 1, 2 * order + 1):",
+     "    if False:",
+     "check_table_fits refuses no group too large for a table"),
     ("pipeline.py",
      "    if jobs < 0:",
      "    if jobs < -1:",
      "a sweep accepts jobs = -1"),
     # -- the symmetric solver
+    ("symsolve.py",
+     "    if not m.is_symmetric():",
+     "    if False:",
+     "a non-symmetric solver output is returned"),
+    ("symsolve.py",
+     "    if m.det() == 0:",
+     "    if False:",
+     "a singular solver output is returned"),
+    ("symsolve.py",
+     "    if mat_vec(m, phi) != v:",
+     "    if False:",
+     "a solver output that misses v is returned"),
     ("symsolve.py",
      "        b[m][m] = div(add(v[m], v[m]), phi[m])",
      "        b[m][m] = div(v[m], phi[m])",
