@@ -3,10 +3,10 @@
 K is the embedded subgroup itself, or the subgroup HZ it generates
 together with the center Z of G ("mod center").  For the plain
 decomposition each generator of H acts on G by left and by right
-multiplication; their id permutations come from ``GroupTable.id_perm``, and
-``groups.orbits`` labels their orbits, the double cosets, by their minimal
-element ids.  Coset ids follow those representatives in ascending order, so
-they are canonical for a fixed element order.
+multiplication; their id permutations come from ``GroupTable.perm`` and are
+dropped once ``groups.orbits`` has labelled their orbits, the double cosets,
+by their minimal element ids.  Coset ids follow those representatives in
+ascending order, so they are canonical for a fixed element order.
 
 The mod-center decomposition is built from the plain one.  H x HZ is the
 union of the plain cosets H z x H over z in Z, and Z is central, so it only
@@ -81,10 +81,10 @@ def double_cosets(g: GroupTable, emb: Embedding, mod_center: bool = False,
             raise InternalCheckError(
                 "mod-center cosets need the plain decomposition of this group")
         return _merge_by_center(plain)
-    gens = [emb.map[i] for i in emb.small.generator_ids]
-    perms = [g.id_perm(h, left=True) for h in gens]
-    perms += [g.id_perm(h) for h in gens]
-    reps, coset_of = number_orbits(orbits(perms, g.order))
+    hs = g.matrices([emb.map[i] for i in emb.small.generator_ids])
+    label = orbits([g.perm(h, left) for left in (True, False) for h in hs],
+                   g.order)
+    reps, coset_of = number_orbits(label)
     return DoubleCosetDecomposition(g, emb, False, coset_of, reps.tolist(),
                                     len(reps))
 
@@ -105,8 +105,8 @@ def _induced(d: DoubleCosetDecomposition, image: np.ndarray,
 def _merge_by_center(plain: DoubleCosetDecomposition
                      ) -> DoubleCosetDecomposition:
     """The mod-center decomposition: orbits on the plain cosets of the maps
-    induced by the nontrivial central z, x -> x z.  Each z is used once, so
-    its permutation is computed here, not kept in ``GroupTable.id_perm``."""
+    induced by the nontrivial central z, x -> x z, each built by
+    ``GroupTable.perm`` and dropped once its coset map is read off."""
     g = plain.group
     perms = [_induced(plain, g.perm(g.matrices(z)),
                       "the center does not permute the plain double cosets")

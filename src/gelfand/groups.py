@@ -20,8 +20,9 @@ of x is the sum over i of table i read at row_i(x).  For x m, m fixed
 q^(n(n-1-i)); for x^T, entry (i, j) of x sits at place (n-1-j) n + (n-1-i),
 so table i is v as base-q^n digits, times q^(n-1-i); for diag(B, 1), row i
 is (B_i, 0), of code q code(B_i), and the last row adds 1.  A left product
-is a right one between transposes, m x = (x^T m^T)^T.  Each id permutation
-is computed once per element and side (``id_perm``, memoised).
+is a right one between transposes, m x = (x^T m^T)^T.  No id permutation
+is memoised: each consumer builds its own with ``perm`` and drops it, and
+only the generators' pairs are kept (``generator_perms``).
 ``matrix.mul_batch`` is left for the pairwise products of two checks:
 x x^-1 = 1 and, for O, g^T g = 1; the first still checks the generator
 permutations along the Schreier tree against true products on every run.
@@ -175,7 +176,7 @@ class GroupTable:
 
     def __init__(self, kind: str, n: int, field: Fq, rows):
         self.order = admit(kind, n, field)
-        self.kind = kind
+        self.kind = kind.upper()
         self.n = n
         self.field = field
         # row_codes[i, x]: base-q code of row i of element x, in the
@@ -201,13 +202,13 @@ class GroupTable:
             self.id_of_code[codes] = np.arange(self.order, dtype=np.int32)
             self.codes = None
         self.identity_id = self.id_of_entries(identity_flat(n))
-        # both set by ``_close`` on the first read of ``generator_ids``
+        # all three set by ``_close`` on the first read of ``generator_ids``
         self._generator_ids = None
+        self._generator_left = None
         self.schreier_tree = None
         self._inverse_ids = None
         self._transpose_ids = None
         self._center_ids = None
-        self._id_perms: dict[tuple[int, bool], np.ndarray] = {}
 
     # -- lookup ---------------------------------------------------------------
 
@@ -257,7 +258,7 @@ class GroupTable:
     def matrices(self, ids) -> np.ndarray:
         """The n^2 uint8 entries of each element of ``ids``, on a new axis."""
         return self.vectors.take(self.row_codes[:, ids].T, axis=0).reshape(
-            np.shape(ids) + (-1,))
+            np.shape(ids) + (self.n * self.n,))
 
     def element(self, i: int) -> MatFq:
         return MatFq(self.field, self.n, self.n, self.matrices(i).tolist())
@@ -278,29 +279,19 @@ class GroupTable:
         built on first use."""
         return decode(np.arange(self.field.q ** self.n), self.n, self.field.q)
 
-    def perm(self, m: np.ndarray) -> np.ndarray:
-        """Id permutation x -> x m of a group element m (raises if m is not
-        one): row i of x m is row_i(x) m, read off a table of v m."""
+    def perm(self, m: np.ndarray, left: bool = False) -> np.ndarray:
+        """Id permutation x -> x m, or x -> m x (left), of a group element m
+        (raises if m is not one), built anew on every call: row i of x m is
+        row_i(x) m, read off a table of v m, and m x = (x^T m^T)^T."""
         n, q = self.n, self.field.q
         m = np.asarray(m, dtype=np.uint8).reshape(n, n)
+        if left:
+            t = self.transpose_ids
+            return t[self.perm(m.T)[t]]
         image = encode(_inner(self.vectors[:, None], m.T, self.field), q)
         return self.ids_of_codes(_gather(
             image * q ** (n * np.arange(n - 1, -1, -1))[:, None],
             self.row_codes))
-
-    def id_perm(self, i: int, left: bool = False) -> np.ndarray:
-        """Id permutation x -> x g, or x -> g x (left), of the element g of
-        id i, computed once per id and side.  A left product is a right one
-        between transposes, g x = (x^T g^T)^T, so lambda_g is rho_(g^T)
-        between two gathers by the transpose permutation."""
-        key = (int(i), left)
-        if key not in self._id_perms:
-            if left:
-                t = self.transpose_ids
-                self._id_perms[key] = t[self.id_perm(t[i])[t]]
-            else:
-                self._id_perms[key] = self.perm(self.matrices(i))
-        return self._id_perms[key]
 
     # -- distinguished data (computed lazily, cached) ---------------------------
 
@@ -317,7 +308,8 @@ class GroupTable:
         hyperplane reflections) and keep each one not yet reached; each
         kept one extends the BFS tree under left multiplication by all kept
         generators from everything reached so far.  Edges (k, xs, ys) have
-        ys = g_k xs, each x reached before any edge leaves it.  Raises
+        ys = g_k xs, each x reached before any edge leaves it.  The kept
+        generators' left permutations stay for ``generator_perms``.  Raises
         unless every id is reached."""
         candidates = (_gl_seeds(self) if self.kind == "GL"
                       else _reflection_ids(self))
@@ -328,7 +320,7 @@ class GroupTable:
             if reached[cand]:
                 continue
             gens.append(cand)
-            left.append(self.id_perm(cand, left=True))
+            left.append(self.perm(self.matrices(cand), left=True))
             frontier = np.flatnonzero(reached).astype(np.int32)
             while frontier.size:
                 found = []
@@ -344,13 +336,14 @@ class GroupTable:
         if not reached.all():
             raise InternalCheckError("generator search did not close the group")
         self._generator_ids, self.schreier_tree = gens, edges
+        self._generator_left = left
 
     @functools.cached_property
     def generator_perms(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """(lambda_g, rho_g) for the generators g: x -> g x and x -> x g."""
+        """(lambda_g, rho_g) for the generators g: x -> g x and x -> x g;
+        the lambda_g are the closure's own."""
         gens = self.generator_ids
-        return ([self.id_perm(g, left=True) for g in gens],
-                [self.id_perm(g) for g in gens])
+        return self._generator_left, [self.perm(m) for m in self.matrices(gens)]
 
     def _spread(self, root, perms: list[np.ndarray]) -> np.ndarray:
         """Values carried along the Schreier tree: ``root`` at the identity

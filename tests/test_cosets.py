@@ -116,9 +116,10 @@ def mod_center_by_orbits_over_g(g, emb):
     """The reference route: orbits over all of G of H's left and right
     permutations together with every nontrivial central element's."""
     gens = [emb.map[i] for i in emb.small.generator_ids]
-    perms = [g.id_perm(h, left=True) for h in gens]
-    perms += [g.id_perm(h) for h in gens]
-    perms += [g.id_perm(z) for z in g.center_ids() if z != g.identity_id]
+    perms = [g.perm(g.matrices(h), left=True) for h in gens]
+    perms += [g.perm(g.matrices(h)) for h in gens]
+    perms += [g.perm(g.matrices(z)) for z in g.center_ids()
+              if z != g.identity_id]
     reps, coset_of = np.unique(orbits(perms, g.order), return_inverse=True)
     return reps.tolist(), coset_of
 

@@ -319,6 +319,17 @@ def test_a_gl_center_other_than_the_scalars_is_caught(f3):
         table.center_ids()
 
 
+def test_a_table_given_a_lower_case_kind_is_the_same_gl_table(f3):
+    upper = enumerate_gl(2, f3)
+    table = GroupTable("gl", 2, f3, upper.row_codes.T)
+    assert table.generator_ids == upper.generator_ids
+    assert sorted(table.elements[z].entries for z in table.center_ids()) == [
+        (1, 0, 0, 1), (2, 0, 0, 2)]
+    small = GroupTable("gl", 1, f3, enumerate_gl(1, f3).row_codes.T)
+    assert embed_standard(small, upper).map == embed_standard(
+        enumerate_gl(1, f3), table).map
+
+
 def test_center_commutes_with_everything(f3):
     table = enumerate_gl(2, f3)
     for z in table.center_ids():

@@ -14,9 +14,11 @@ import pytest
 from gelfand import groups
 from gelfand.chartab import (_block_orders, character_table,
                              conjugacy_classes, element_order, power_orders)
+from gelfand.cosets import double_cosets, involution_action
 from gelfand.errors import CapExceededError, InternalCheckError
 from gelfand.field import field_from_q
-from gelfand.groups import GroupTable, enumerate_gl, enumerate_o, orbits
+from gelfand.groups import (GroupTable, embed_standard, enumerate_gl,
+                            enumerate_o, orbits)
 from gelfand.matrix import inverse_flat, mul_batch, mul_flat
 from gelfand.pipeline import run_verify
 
@@ -145,7 +147,7 @@ CLOSURE_GROUPS = KERNEL_GROUPS | {"GL4(F2)": (enumerate_gl, 4, 2)}
 def test_the_closure_leaves_a_tree_of_left_products(name):
     enum, n, q = CLOSURE_GROUPS[name]
     g = enum(n, field_from_q(q))
-    left = [g.id_perm(i, left=True) for i in g.generator_ids]
+    left = [g.perm(g.matrices(i), left=True) for i in g.generator_ids]
     reached = np.zeros(g.order, dtype=bool)
     reached[g.identity_id] = True
     for k, xs, ys in g.schreier_tree:
@@ -155,6 +157,31 @@ def test_the_closure_leaves_a_tree_of_left_products(name):
     ys = np.concatenate([ys for _, _, ys in g.schreier_tree])
     assert sorted(ys.tolist()) == [
         i for i in range(g.order) if i != g.identity_id]
+
+
+@pytest.mark.parametrize("enum,n,q", [(enumerate_gl, 3, 4),
+                                      (enumerate_o, 4, 3)])
+def test_a_table_keeps_no_id_permutations_but_its_generators_pairs(enum, n, q):
+    f = field_from_q(q)
+    g = enum(n, f, cap=200_000)
+    emb = embed_standard(enum(n - 1, f), g)
+    plain = double_cosets(g, emb)
+    involution_action(plain)
+    involution_action(double_cosets(g, emb, mod_center=True, plain=plain))
+    conjugacy_classes(g)
+    held, todo = {}, list(vars(g).values())
+    while todo:
+        x = todo.pop()
+        if isinstance(x, dict):
+            todo.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif isinstance(x, np.ndarray):
+            held[id(x)] = x
+    perms = [a for a in held.values()
+             if a.dtype == np.int32 and a.shape == (g.order,)
+             and a is not g.inverse_ids and a is not g.transpose_ids]
+    assert len(perms) == 2 * len(g.generator_ids)
 
 
 # -- lookup: a direct code -> id array where the group is dense -----------------
@@ -290,9 +317,9 @@ def test_left_and_right_perms_equal_batched_products(name):
     ids = range(0, g.order, max(1, g.order // 40))
     assert len(ids) >= 40
     for i in ids:
-        assert np.array_equal(g.id_perm(i),
+        assert np.array_equal(g.perm(g.matrices(i)),
                               g.ids_of(mul_batch(every, g.matrices(i), n, f)))
-        assert np.array_equal(g.id_perm(i, left=True),
+        assert np.array_equal(g.perm(g.matrices(i), left=True),
                               g.ids_of(mul_batch(g.matrices(i), every, n, f)))
 
 
@@ -318,7 +345,7 @@ def test_the_vector_table_waits_for_the_first_product(monkeypatch):
         GroupTable("GL", 4, field_from_q(25), np.zeros((0, 16), np.uint8))
     g = GroupTable("GL", 1, field_from_q(3), [[1], [2]])
     assert built == [] and "vectors" not in g.__dict__
-    assert g.id_perm(1).tolist() == [1, 0]
+    assert g.perm(g.matrices(1)).tolist() == [1, 0]
     assert built == [(1, 3)] and g.vectors.tolist() == [[0], [1], [2]]
 
 

@@ -195,6 +195,19 @@ MUTANTS = [
      "_gather(shares, h.row_codes) + 1)",
      "_gather(shares, h.row_codes))",
      "the embedding drops the last row's 1"),
+    # -- left permutations: rho_(m^T) between transposes, kept by the closure
+    ("groups.py",
+     "            return t[self.perm(m.T)[t]]",
+     "            return self.perm(m.T)[t]",
+     "a left permutation drops the outer transpose gather"),
+    ("groups.py",
+     "            return t[self.perm(m.T)[t]]",
+     "            return t[self.perm(m)[t]]",
+     "a left permutation is built from m in place of m^T"),
+    ("groups.py",
+     "            left.append(self.perm(self.matrices(cand), left=True))",
+     "            left.append(self.perm(self.matrices(cand)))",
+     "the closure keeps right permutations where the left ones belong"),
     # -- the group tables' own checks
     ("groups.py",
      "                if center != sorted(self.ids_of(scalars).tolist()):",
