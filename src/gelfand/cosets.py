@@ -3,10 +3,12 @@
 K is the embedded subgroup itself, or the subgroup HZ it generates
 together with the center Z of G ("mod center").  For the plain
 decomposition each generator of H acts on G by left and by right
-multiplication; their id permutations come from ``GroupTable.perm`` and are
-dropped once ``groups.orbits`` has labelled their orbits, the double cosets,
-by their minimal element ids.  Coset ids follow those representatives in
-ascending order, so they are canonical for a fixed element order.
+multiplication.  A generator of H that is also one of G's reuses the pair
+that ``GroupTable.generator_perms`` holds; the others' id permutations come
+from ``GroupTable.perm`` and are dropped once ``groups.orbits`` has labelled
+their orbits, the double cosets, by their minimal element ids.  Coset ids
+follow those representatives in ascending order, so they are canonical for
+a fixed element order.
 
 The mod-center decomposition is built from the plain one.  H x HZ is the
 union of the plain cosets H z x H over z in Z, and Z is central, so it only
@@ -81,9 +83,17 @@ def double_cosets(g: GroupTable, emb: Embedding, mod_center: bool = False,
             raise InternalCheckError(
                 "mod-center cosets need the plain decomposition of this group")
         return _merge_by_center(plain)
-    hs = g.matrices([emb.map[i] for i in emb.small.generator_ids])
-    label = orbits([g.perm(h, left) for left in (True, False) for h in hs],
-                   g.order)
+    left, right = g.generator_perms
+    known = dict(zip(g.generator_ids, zip(left, right)))
+
+    def pair(x: int) -> tuple[np.ndarray, np.ndarray]:
+        if x in known:  # one of g's generators: its pair is already built
+            return known[x]
+        m = g.matrices(x)
+        return g.perm(m, left=True), g.perm(m)
+
+    label = orbits([p for i in emb.small.generator_ids
+                    for p in pair(int(emb.map[i]))], g.order)
     reps, coset_of = number_orbits(label)
     return DoubleCosetDecomposition(g, emb, False, coset_of, reps.tolist(),
                                     len(reps))

@@ -28,10 +28,13 @@ order (upper-triangle entries, row-major, least index first), for every
 field and size under ORACLE_SEARCH_CAP by one path.  The symmetric matrices
 are decoded from their upper-triangle codes as one uint8 batch and kept
 when one batched fraction-free elimination through the field's add and mul
-tables reaches rank n; that stock is built once per (field, n).  A call
-then forms B*phi for the whole stock, column by column through the same
-tables, and takes the first B whose image is v.  The oracle shares nothing
-with the solver beyond the input check: no ``_eliminate`` or ``MatFq.det``.
+tables reaches rank n; that stock is built once per (field, n) and stored
+entry-major, so each entry B_ij of every stock matrix is one contiguous
+array.  A call then scans the whole stock one coordinate at a time:
+coordinate i of B*phi is folded over j by 1-D ``take``s from the flattened
+add table at mul[phi_j, B_ij] * q + acc, and the first B whose coordinates
+all equal v's is returned.  The oracle shares nothing with the solver
+beyond the input check: no ``_eliminate`` or ``MatFq.det``.
 """
 
 from __future__ import annotations
@@ -134,16 +137,18 @@ def _full_rank(mats: np.ndarray, field: Fq) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _symmetric_stock(field: Fq, n: int) -> np.ndarray:
-    """The invertible symmetric n x n matrices in canonical order, as a
-    (count, n, n) uint8 array: the upper triangles, row-major, are the
-    base-q digits of 0, 1, ..., q^(n(n+1)/2) - 1."""
+    """The invertible symmetric n x n matrices in canonical order, as an
+    (n, n, count) uint8 array whose [i, j] is entry (i, j) of every matrix:
+    the upper triangles, row-major, are the base-q digits of 0, 1, ...,
+    q^(n(n+1)/2) - 1."""
     q, tri = field.q, n * (n + 1) // 2
     upper = decode(np.arange(q ** tri), tri, q)
     rows, cols = np.triu_indices(n)
     mats = np.empty((len(upper), n, n), dtype=np.uint8)
     mats[:, rows, cols] = upper
     mats[:, cols, rows] = upper
-    stock = mats[_full_rank(mats, field)]
+    stock = np.ascontiguousarray(
+        mats[_full_rank(mats, field)].transpose(1, 2, 0))
     stock.flags.writeable = False  # the cache hands it to every call
     return stock
 
@@ -157,10 +162,15 @@ def oracle_symmetric(field: Fq, phi: tuple, v: tuple) -> MatFq | None:
             f"oracle search space q^(n(n+1)/2) exceeds {ORACLE_SEARCH_CAP}")
     stock = _symmetric_stock(field, n)
     add, mul = field.arrays()
-    image = mul[phi[0]].take(stock[:, :, 0])
-    for j in range(1, n):
-        image = add[image, mul[phi[j]].take(stock[:, :, j])]
-    hits = (image == np.array(v, dtype=np.uint8)).all(1)
+    add = add.ravel()
+    # a*q + b overflows uint8 once q > 16
+    scaled = mul[list(phi)].astype(np.uint16) * field.q
+    hits = np.ones(stock.shape[2], dtype=bool)
+    for i in range(n):
+        acc = mul[phi[0]].take(stock[i, 0])
+        for j in range(1, n):
+            acc = add.take(scaled[j].take(stock[i, j]) + acc)
+        hits &= acc == v[i]
     if not hits.any():
         return None
-    return MatFq(field, n, n, stock[hits.argmax()].ravel().tolist())
+    return MatFq(field, n, n, stock[:, :, hits.argmax()].ravel().tolist())

@@ -139,6 +139,30 @@ def test_mod_center_from_the_plain_cosets_equals_orbits_over_g(name):
     assert again.reps == reps and np.array_equal(again.coset_of, coset_of)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_embedded_generator_of_g_reuses_its_pair(monkeypatch, n):
+    # on GL_{n+1}(F_2) H's transvection embeds onto G's own, so only the
+    # embedded cyclic permutation needs a new pair
+    g, emb = make_pair("gl", n, 2)
+    hs = [int(emb.map[i]) for i in emb.small.generator_ids]
+    assert [x in g.generator_ids for x in hs] == [True, False]
+    g.generator_perms  # built by the center stage before the cosets
+    calls = []
+    perm = type(g).perm
+    monkeypatch.setattr(type(g), "perm",
+                        lambda self, m, left=False: calls.append(left) or
+                        perm(self, m, left))
+    d = double_cosets(g, emb)
+    # a left build calls perm once more for the right one of m^T, so every
+    # build makes exactly one call with left=False
+    assert calls.count(False) == 2 and calls.count(True) == 1
+    monkeypatch.undo()
+    fresh = [g.perm(g.matrices(h), left) for h in hs for left in (True, False)]
+    assert np.array_equal(d.coset_of,
+                          np.unique(orbits(fresh, g.order),
+                                    return_inverse=True)[1])
+
+
 def test_a_center_that_does_not_permute_the_plain_cosets_is_caught(f3):
     g, emb = make_pair("gl", 1, 3)
     # a false "plain" partition, the identity against everything else: -I

@@ -2,6 +2,7 @@ import functools
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from gelfand import symsolve
@@ -248,9 +249,12 @@ def test_stock_size_is_the_closed_form(q, n):
     expected = q ** (m * (m + 1))
     for i in range(1, (n + 1) // 2 + 1):
         expected *= q ** (2 * i - 1) - 1
-    assert len(_symmetric_stock(field_from_q(q), n)) == expected
+    # the stock is entry-major, (n, n, count); one matrix per last index
+    matrices = np.moveaxis(_symmetric_stock(field_from_q(q), n), -1, 0)
+    assert len(matrices) == expected
 
 
 def test_the_stock_equals_the_reference_in_canonical_order(f5):
+    matrices = np.moveaxis(_symmetric_stock(f5, 2), -1, 0)
     assert [MatFq(f5, 2, 2, b.ravel().tolist())
-            for b in _symmetric_stock(f5, 2)] == reference_stock(5, 2)
+            for b in matrices] == reference_stock(5, 2)

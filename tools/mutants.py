@@ -283,6 +283,29 @@ MUTANTS = [
      "        if i == j:\n            continue",
      "        if False:\n            continue",
      "the rank-one sum runs over every i"),
+    # -- the oracle's scan
+    ("symsolve.py",
+     "mul[list(phi)].astype(np.uint16)",
+     "mul[list(phi)].astype(np.uint8)",
+     "the scaled mul rows are uint8, so a*q + b wraps once q > 16"),
+    ("symsolve.py",
+     "    for i in range(n):\n        acc",
+     "    for i in range(n - 1):\n        acc",
+     "the last coordinate of B*phi is dropped from the hits"),
+    ("symsolve.py",
+     "stock[:, :, hits.argmax()]",
+     "stock[:, :, len(hits) - 1 - hits[::-1].argmax()]",
+     "the oracle returns the last hit, not the first"),
+    # -- double cosets from the generators' own pairs
+    ("cosets.py",
+     "known = dict(zip(g.generator_ids, zip(left, right)))",
+     "known = dict(zip(g.generator_ids, zip(right, left)))",
+     "equivalent: orbits takes the set of permutations, and a pair read as "
+     "(right, left) is the same two permutations"),
+    ("cosets.py",
+     "known = dict(zip(g.generator_ids, zip(left, right)))",
+     "known = dict(zip(g.generator_ids, zip(left, left)))",
+     "a reused pair carries its left permutation twice, no right one"),
     # -- matrix products
     ("matrix.py",
      "                bi += cols",
