@@ -30,11 +30,13 @@ are decoded from their upper-triangle codes as one uint8 batch and kept
 when one batched fraction-free elimination through the field's add and mul
 tables reaches rank n; that stock is built once per (field, n) and stored
 entry-major, so each entry B_ij of every stock matrix is one contiguous
-array.  A call then scans the whole stock one coordinate at a time:
+array.  A call then narrows the stock one coordinate at a time:
 coordinate i of B*phi is folded over j by 1-D ``take``s from the flattened
-add table at mul[phi_j, B_ij] * q + acc, and the first B whose coordinates
-all equal v's is returned.  The oracle shares nothing with the solver
-beyond the input check: no ``_eliminate`` or ``MatFq.det``.
+add table at mul[phi_j, B_ij] * q + acc, coordinate 0 over the whole stock
+and each later one only over the ascending indices still matching v, and
+the first survivor is returned.  No survivor raises InternalCheckError.
+The oracle shares nothing with the solver beyond the input check: no
+``_eliminate`` or ``MatFq.det``.
 """
 
 from __future__ import annotations
@@ -153,8 +155,13 @@ def _symmetric_stock(field: Fq, n: int) -> np.ndarray:
     return stock
 
 
-def oracle_symmetric(field: Fq, phi: tuple, v: tuple) -> MatFq | None:
-    """First (canonical order) symmetric invertible B with B*phi = v."""
+def oracle_symmetric(field: Fq, phi: tuple, v: tuple) -> MatFq:
+    """First (canonical order) symmetric invertible B with B*phi = v.
+
+    Coordinate 0 of B*phi is taken over the whole stock; each later
+    coordinate only over the ascending stock indices that matched v so far.
+    The module docstring proves a solution exists for nonzero phi and v,
+    so an empty candidate set is an internal error, raised at once."""
     phi, v = _check_input(field, phi, v)
     n = len(phi)
     if field.q ** (n * (n + 1) // 2) > ORACLE_SEARCH_CAP:
@@ -165,12 +172,15 @@ def oracle_symmetric(field: Fq, phi: tuple, v: tuple) -> MatFq | None:
     add = add.ravel()
     # a*q + b overflows uint8 once q > 16
     scaled = mul[list(phi)].astype(np.uint16) * field.q
-    hits = np.ones(stock.shape[2], dtype=bool)
+    cand = None  # the stock indices whose coordinates so far equal v's
     for i in range(n):
-        acc = mul[phi[0]].take(stock[i, 0])
+        row = stock[i] if cand is None else stock[i].take(cand, axis=1)
+        acc = mul[phi[0]].take(row[0])
         for j in range(1, n):
-            acc = add.take(scaled[j].take(stock[i, j]) + acc)
-        hits &= acc == v[i]
-    if not hits.any():
-        return None
-    return MatFq(field, n, n, stock[:, :, hits.argmax()].ravel().tolist())
+            acc = add.take(scaled[j].take(row[j]) + acc)
+        hit = np.flatnonzero(acc == v[i])
+        cand = hit if cand is None else cand[hit]
+        if not len(cand):
+            raise InternalCheckError(
+                f"oracle found no symmetric invertible B mapping {phi} to {v}")
+    return MatFq(field, n, n, stock[:, :, cand[0]].ravel().tolist())

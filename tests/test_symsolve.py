@@ -258,3 +258,27 @@ def test_the_stock_equals_the_reference_in_canonical_order(f5):
     matrices = np.moveaxis(_symmetric_stock(f5, 2), -1, 0)
     assert [MatFq(f5, 2, 2, b.ravel().tolist())
             for b in matrices] == reference_stock(5, 2)
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (4, 2)])
+def test_oracle_matches_the_reference_on_every_instance(q, n):
+    # many stock matrices match v_0 but miss a later coordinate, so this
+    # pins how the surviving candidate indices compose
+    field = field_from_q(q)
+    vecs = nonzero_vectors(field, n)
+    first = {}
+    for b in reference_stock(q, n):
+        for phi in vecs:
+            first.setdefault((phi, mat_vec(b, phi)), b)
+    assert len(first) == len(vecs) ** 2  # 676 for (3, 3), 225 for (4, 2)
+    for (phi, v), expected in first.items():
+        assert oracle_symmetric(field, phi, v) == expected
+
+
+def test_an_oracle_with_no_hit_raises_naming_phi_and_v(f3, monkeypatch):
+    monkeypatch.setattr(symsolve, "_symmetric_stock",
+                        lambda field, n: np.zeros((n, n, 0), dtype=np.uint8))
+    with pytest.raises(InternalCheckError,
+                       match=r"no symmetric invertible B mapping "
+                             r"\(1, 0\) to \(0, 1\)"):
+        oracle_symmetric(f3, (1, 0), (0, 1))

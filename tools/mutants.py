@@ -289,13 +289,25 @@ MUTANTS = [
      "mul[list(phi)].astype(np.uint8)",
      "the scaled mul rows are uint8, so a*q + b wraps once q > 16"),
     ("symsolve.py",
-     "    for i in range(n):\n        acc",
-     "    for i in range(n - 1):\n        acc",
-     "the last coordinate of B*phi is dropped from the hits"),
+     "    for i in range(n):\n        row",
+     "    for i in range(n - 1):\n        row",
+     "the last coordinate of B*phi never narrows the candidates"),
     ("symsolve.py",
-     "stock[:, :, hits.argmax()]",
-     "stock[:, :, len(hits) - 1 - hits[::-1].argmax()]",
-     "the oracle returns the last hit, not the first"),
+     "stock[i] if cand is None else stock[i].take(cand, axis=1)",
+     "stock[i]",
+     "a later coordinate reads the whole stock, not the candidates"),
+    ("symsolve.py",
+     "cand = hit if cand is None else cand[hit]",
+     "cand = hit",
+     "a coordinate's hits replace the candidates instead of indexing them"),
+    ("symsolve.py",
+     "stock[:, :, cand[0]]",
+     "stock[:, :, cand[-1]]",
+     "the oracle returns the last survivor, not the first"),
+    ("symsolve.py",
+     "        if not len(cand):",
+     "        if False:",
+     "an oracle with no hit fails with an IndexError, not a named one"),
     # -- double cosets from the generators' own pairs
     ("cosets.py",
      "known = dict(zip(g.generator_ids, zip(left, right)))",
