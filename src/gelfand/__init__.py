@@ -15,13 +15,11 @@ if "numpy" not in sys.modules and not (
         & os.environ.keys()):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .errors import (CapExceededError, DomainError, InternalCheckError,
-                     SingularMatrixError)
+from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import Fq, Scalar, build_field, field_from_q
-from .matrix import (MatFq, format_matrix, format_vector, mat_vec,
-                     parse_matrix, parse_vector, vec_dot)
-from .groups import (Embedding, GroupTable, embed_identity, embed_standard,
-                     enumerate_gl, enumerate_o, gl_order)
+from .matrix import MatFq, format_matrix, mat_vec, parse_vector, vec_dot
+from .groups import (Embedding, GroupTable, embed_standard, enumerate_gl,
+                     enumerate_o, gl_order)
 from .cosets import (DoubleCosetDecomposition, InvolutionAction,
                      double_cosets, involution_action)
 from .symsolve import oracle_symmetric, solve_symmetric
@@ -34,12 +32,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceededError", "DomainError", "InternalCheckError",
-    "SingularMatrixError",
     "Fq", "Scalar", "build_field", "field_from_q",
-    "MatFq", "format_matrix", "format_vector", "mat_vec", "parse_matrix",
-    "parse_vector", "vec_dot",
-    "Embedding", "GroupTable", "embed_identity", "embed_standard",
-    "enumerate_gl", "enumerate_o", "gl_order",
+    "MatFq", "format_matrix", "mat_vec", "parse_vector", "vec_dot",
+    "Embedding", "GroupTable", "embed_standard", "enumerate_gl",
+    "enumerate_o", "gl_order",
     "DoubleCosetDecomposition", "InvolutionAction", "double_cosets",
     "involution_action",
     "oracle_symmetric", "solve_symmetric",

@@ -94,19 +94,6 @@ def conjugacy_classes(g: GroupTable) -> ConjClasses:
                        class_of[inv[reps]].tolist())
 
 
-def element_order(g: GroupTable, i: int) -> int:
-    """Order of one element by repeated products (a reference for tests)."""
-    e = g.identity_id
-    if i == e:
-        return 1
-    cur = i
-    m = 1
-    while cur != e:
-        cur = g.mul_ids(cur, i)
-        m += 1
-    return m
-
-
 def power_orders(g: GroupTable, ids) -> list[int]:
     """Orders of the elements t of ``ids`` by batched doubling: from the
     powers t, ..., t^(2^j) of every t, one ``mul_batch`` by t^(2^j) gives
@@ -328,9 +315,6 @@ class CharacterTable:
     def count(self) -> int:
         return len(self.degrees)
 
-    def identity_class(self) -> int:
-        return int(self.classes.class_of[self.group.identity_id])
-
 
 def _separator(g: GroupTable, classes: ConjClasses, l: int, s: int,
                orders: list[int]) -> np.ndarray:
@@ -382,9 +366,21 @@ def _sums_exact(order: int, k: int, l: int) -> bool:
     return order * (l - 1) < 2 ** 53 and (k + 1) * l * l < 2 ** 63
 
 
-def _verify_orthogonality(t: CharacterTable):
-    """The row relation mod l in int64: each product sums k terms below
-    l^2, exact under ``_sums_exact``."""
+def _verify_table(t: CharacterTable):
+    """The degrees square-sum to |G|, divide it and are their rows' values
+    at the identity class; then the row relation mod l in int64, each
+    product summing k terms below l^2, exact under ``_sums_exact``."""
+    order = t.group.order
+    if sum(d * d for d in t.degrees) != order:
+        raise InternalCheckError("sum of squared degrees != |G|")
+    for d in t.degrees:
+        if d < 1 or order % d:
+            raise InternalCheckError(f"degree {d} does not divide |G| = {order}")
+    e = t.classes.class_of[t.group.identity_id]
+    for d, row in zip(t.degrees, t.values):
+        if row[e] != d:
+            raise InternalCheckError(f"degree {d} is not its character's "
+                                     f"value {row[e]} at the identity")
     l = t.l
     k = t.count
     v = np.array(t.values, dtype=np.int64)
@@ -394,7 +390,7 @@ def _verify_orthogonality(t: CharacterTable):
     # Both operands read along rows: numpy's integer matmul is slow on the
     # transposed (F-ordered) operand of the plain row product.
     rows = (v[:, t.classes.inverse_class] @ (v * sizes % l).T).T % l
-    if not np.array_equal(rows, t.group.order % l * np.eye(k, dtype=np.int64)):
+    if not np.array_equal(rows, order % l * np.eye(k, dtype=np.int64)):
         raise InternalCheckError("row orthogonality fails mod l")
 
 
@@ -441,15 +437,9 @@ def character_table(g: GroupTable, classes: ConjClasses,
     chis = np.array(lifted)[:, None] * w % l * inv_sizes % l
     rows = sorted(zip(lifted, chis.tolist()))
 
-    degrees = [d for d, _ in rows]
-    if sum(d * d for d in degrees) != order:
-        raise InternalCheckError("sum of squared degrees != |G|")
-    for d in degrees:
-        if order % d:
-            raise InternalCheckError(f"degree {d} does not divide |G| = {order}")
-    table = CharacterTable(g, classes, l, root, degrees,
+    table = CharacterTable(g, classes, l, root, [d for d, _ in rows],
                            [chi for _, chi in rows])
-    _verify_orthogonality(table)
+    _verify_table(table)
     if cache_dir is not None:
         save_character_table(table, cache_dir)
     return table
@@ -490,9 +480,11 @@ def save_character_table(t: CharacterTable, cache_dir: str | Path) -> Path:
 
 
 def _residues(x, length: int, l: int) -> bool:
-    """x is a list of ``length`` ints in [0, l)."""
+    """x is a list of ``length`` ints in [0, l); JSON true and false are
+    not ints here."""
     return (isinstance(x, list) and len(x) == length
-            and all(isinstance(v, int) and 0 <= v < l for v in x))
+            and all(isinstance(v, int) and not isinstance(v, bool)
+                    and 0 <= v < l for v in x))
 
 
 def load_character_table(g: GroupTable, classes: ConjClasses,
@@ -500,7 +492,7 @@ def load_character_table(g: GroupTable, classes: ConjClasses,
     """The cached table, or None (recompute) when the file is missing, does
     not parse, has another schema or class data, lacks a key or has one of
     the wrong shape, or has an l past the exact-sum bounds.  A well-formed
-    table that fails orthogonality raises."""
+    table that fails ``_verify_table`` raises."""
     path = cache_path(cache_dir, g.kind, g.n, g.field.q)
     if not path.is_file():
         return None
@@ -524,7 +516,7 @@ def load_character_table(g: GroupTable, classes: ConjClasses,
             and all(_residues(row, k, l) for row in values)):
         return None
     table = CharacterTable(g, classes, l, root, degrees, values)
-    _verify_orthogonality(table)
+    _verify_table(table)
     return table
 
 

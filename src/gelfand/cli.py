@@ -17,6 +17,8 @@ import os
 import sys
 import traceback
 
+import numpy as np
+
 from .chartab import character_table, conjugacy_classes, table_payload
 from .cosets import double_cosets, involution_action
 from .errors import DomainError, InternalCheckError
@@ -70,9 +72,10 @@ def cmd_group_order(args) -> int:
     table = enumerate_group(args.type, args.n, field_from_q(args.q),
                             args.cap_group_order)
     if args.dump:
-        with open(args.dump, "w") as fh:
-            for m in table.elements:
-                fh.write(format_matrix(m) + "\n")
+        # format_matrix's literal, one row of n^2 entries per element
+        n = args.n
+        np.savetxt(args.dump, table.matrices(np.arange(table.order)),
+                   fmt=";".join([",".join(["%d"] * n)] * n))
     payload = {"kind": args.type, "n": args.n, "q": args.q,
                "order": table.order}
     _emit(args, payload, f"order: {table.order}")

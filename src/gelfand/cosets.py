@@ -47,9 +47,6 @@ class DoubleCosetDecomposition:
     reps: list[int]
     count: int
 
-    def members(self, c: int) -> list[int]:
-        return np.flatnonzero(self.coset_of == c).tolist()
-
 
 @dataclass
 class InvolutionAction:

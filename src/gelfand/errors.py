@@ -15,9 +15,5 @@ class CapExceededError(DomainError):
     """A configured size cap (field size, group order, search space) was hit."""
 
 
-class SingularMatrixError(DomainError):
-    """Inverse requested for a matrix with zero determinant."""
-
-
 class InternalCheckError(RuntimeError):
     """An internal consistency check failed; indicates a bug or a false claim."""

@@ -126,9 +126,6 @@ class Fq:
         """The add and mul tables as (q, q) uint8 arrays."""
         return self._tables
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def generator(self) -> Scalar:
         """Smallest index generating the multiplicative group (by exhaustion)."""
         if self._generator is None:

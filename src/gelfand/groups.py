@@ -61,7 +61,10 @@ import numpy as np
 
 from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import Fq
-from .matrix import MatFq, _inner, identity_flat, mul_batch, mul_flat
+from .matrix import MatFq, _inner, identity_flat, mul_batch
+# perfbench/tracing.py counts group-element products through this name in
+# every module that loops over a group, so the import stays.
+from .matrix import mul_flat  # noqa: F401
 
 DEFAULT_GROUP_CAP = 25_000
 # largest block of right-regular rows built at once, in int32 entries
@@ -250,11 +253,6 @@ class GroupTable:
         """Element id for a flat entry tuple; raises if not in the group."""
         return int(self.ids_of(np.array([entries], dtype=np.uint8))[0])
 
-    def index_of(self, m: MatFq) -> int:
-        if m.field != self.field or m.rows != self.n or m.cols != self.n:
-            raise DomainError("matrix shape or field does not match group")
-        return self.id_of_entries(m.entries)
-
     def matrices(self, ids) -> np.ndarray:
         """The n^2 uint8 entries of each element of ``ids``, on a new axis."""
         return self.vectors.take(self.row_codes[:, ids].T, axis=0).reshape(
@@ -262,16 +260,6 @@ class GroupTable:
 
     def element(self, i: int) -> MatFq:
         return MatFq(self.field, self.n, self.n, self.matrices(i).tolist())
-
-    @functools.cached_property
-    def elements(self) -> list[MatFq]:
-        return [self.element(i) for i in range(self.order)]
-
-    def mul_ids(self, i: int, j: int) -> int:
-        """Product of two ids, one element at a time (a reference for tests)."""
-        return self.id_of_entries(mul_flat(
-            self.element(i).entries, self.element(j).entries, self.n,
-            self.field))
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
@@ -566,8 +554,3 @@ def embed_standard(h: GroupTable, g: GroupTable) -> Embedding:
     if map_ids[h.identity_id] != g.identity_id:
         raise InternalCheckError("embedding does not preserve the identity")
     return emb
-
-
-def embed_identity(g: GroupTable) -> Embedding:
-    """The degenerate self-pair H = G."""
-    return Embedding(g, g, list(range(g.order)))

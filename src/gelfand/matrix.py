@@ -1,24 +1,22 @@
 """Exact dense linear algebra over GF(q).
 
 A matrix stores its entries as a flat row-major tuple of canonical field
-indices plus a reference to its field; it is immutable and hashable.  Its
-canonical byte encoding (rows, cols, entries) is injective for q <= 25;
-group tables key their elements by int64 base-q codes (``groups.encode``)
-instead.
+indices plus a reference to its field; it is immutable and hashable.  Group
+tables key their elements by int64 base-q codes (``groups.encode``).
 
 Vectors are plain tuples of field indices; helpers below cover the
 matrix-vector and inner products the rest of the package needs.
 
-Rank, determinant and inverse use exact Gauss-Jordan elimination with the
-pivot chosen as the first nonzero entry in column scan order (any pivot
-rule is correct over an exact field; this one is deterministic).
+The determinant uses exact Gauss-Jordan elimination with the pivot chosen
+as the first nonzero entry in column scan order (any pivot rule is correct
+over an exact field; this one is deterministic).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError
 from .field import Fq, Scalar
 
 
@@ -42,9 +40,9 @@ def _mul_entries(a, b, rows: int, inner: int, cols: int, field: Fq) -> tuple:
 
 
 def mul_flat(a: tuple, b: tuple, n: int, field: Fq) -> tuple:
-    """Product of two flat n x n entry tuples, one element at a time: the
-    reference behind ``GroupTable.mul_ids``, and the call that perfbench
-    counts as a group-element product."""
+    """Product of two flat n x n entry tuples, one element at a time.  No
+    code in the package calls it: the name is kept only for the perfbench
+    hook, which counts calls to it as group-element products."""
     return _mul_entries(a, b, n, n, n, field)
 
 
@@ -85,19 +83,14 @@ def identity_flat(n: int) -> tuple:
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
 
-def _eliminate(rows_list: list[list[int]], field: Fq,
-               pivot_cols: int | None = None):
-    """In-place Gauss-Jordan; returns (rank, det) with det of the left
-    square part (0 when rank-deficient, sign-corrected for row swaps).
-    Pivots are only sought in the first pivot_cols columns, so augmented
-    columns never contribute to the rank."""
+def _eliminate(rows_list: list[list[int]], field: Fq):
+    """In-place Gauss-Jordan; returns (rank, det) with det 0 when
+    rank-deficient, sign-corrected for row swaps."""
     m = len(rows_list)
     ncols = len(rows_list[0]) if m else 0
-    if pivot_cols is None:
-        pivot_cols = ncols
     rank = 0
     det = 1
-    for col in range(pivot_cols):
+    for col in range(ncols):
         if rank == m:
             break
         pivot_row = None
@@ -125,16 +118,6 @@ def _eliminate(rows_list: list[list[int]], field: Fq,
                     row[j] = field.sub(row[j], field.mul(f, prow[j]))
         rank += 1
     return rank, det
-
-
-def inverse_flat(a: tuple, n: int, field: Fq) -> tuple:
-    """Inverse of a flat n x n entry tuple, or SingularMatrixError."""
-    aug = [list(a[i * n:(i + 1) * n])
-           + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    rank, _ = _eliminate(aug, field, pivot_cols=n)
-    if rank < n:
-        raise SingularMatrixError("matrix is singular")
-    return tuple(aug[i][n + j] for i in range(n) for j in range(n))
 
 
 class MatFq:
@@ -177,11 +160,6 @@ class MatFq:
         i, j = ij
         return self.entries[i * self.cols + j]
 
-    def encode(self) -> bytes:
-        """Canonical bytes (rows, cols, entries); injective for q <= 25.  Not
-        the group-table key, which is the int64 code of ``groups.encode``."""
-        return bytes((self.rows, self.cols)) + bytes(self.entries)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_same_field(self, other: "MatFq"):
@@ -206,23 +184,12 @@ class MatFq:
         return self.rows == self.cols and self.entries == transpose_flat(
             self.entries, self.rows, self.cols)
 
-    def rank(self) -> int:
-        work = self.to_rows()
-        r, _ = _eliminate(work, self.field)
-        return r
-
     def det(self) -> Scalar:
         if self.rows != self.cols:
             raise DomainError("determinant requires a square matrix")
         work = self.to_rows()
         rank, det = _eliminate(work, self.field)
         return det if rank == self.rows else 0
-
-    def inverse(self) -> "MatFq":
-        if self.rows != self.cols:
-            raise DomainError("inverse requires a square matrix")
-        return MatFq(self.field, self.rows, self.rows,
-                     inverse_flat(self.entries, self.rows, self.field))
 
     # -- identity ------------------------------------------------------------
 
@@ -256,15 +223,6 @@ def mat_vec(m: MatFq, v: tuple) -> tuple:
 
 # -- text literals -------------------------------------------------------------
 
-def parse_matrix(field: Fq, text: str) -> MatFq:
-    """Parse the row-major literal format, e.g. "1,2;0,1"."""
-    try:
-        rows = [[int(x) for x in part.split(",")] for part in text.split(";")]
-    except ValueError as exc:
-        raise DomainError(f"bad matrix literal {text!r}") from exc
-    return MatFq.from_rows(field, rows)
-
-
 def format_matrix(m: MatFq) -> str:
     return ";".join(",".join(str(x) for x in m.row(i)) for i in range(m.rows))
 
@@ -278,7 +236,3 @@ def parse_vector(field: Fq, text: str) -> tuple:
         if not 0 <= x < field.q:
             raise DomainError(f"entry {x} not a valid index for {field!r}")
     return v
-
-
-def format_vector(v: tuple) -> str:
-    return ",".join(str(x) for x in v)

@@ -8,7 +8,7 @@ import pytest
 
 from gelfand import chartab
 from gelfand.chartab import (cache_path, character_table, choose_modulus,
-                             conjugacy_classes, dim_invariants, element_order,
+                             conjugacy_classes, dim_invariants,
                              load_character_table, power_orders,
                              save_character_table,
                              transpose_preserves_classes, verify_pair,
@@ -18,9 +18,10 @@ from gelfand.cosets import double_cosets, involution_action
 from gelfand.errors import (CapExceededError, DomainError,
                             InternalCheckError)
 from gelfand.field import field_from_q
-from gelfand.groups import (embed_identity, embed_standard, enumerate_gl,
+from gelfand.groups import (Embedding, embed_standard, enumerate_gl,
                             enumerate_o)
 from gelfand.matrix import format_matrix, mul_batch
+from reference import element_order, mul_ids
 
 
 def build(kind, n, q):
@@ -78,7 +79,7 @@ def test_classes_against_brute_force_conjugation():
     # oracle: conjugate each element by every group element
     g, classes = build("gl", 2, 2)
     for x in range(g.order):
-        orbit = {g.mul_ids(g.mul_ids(a, x), g.inverse_ids[a])
+        orbit = {mul_ids(g, mul_ids(g, a, x), g.inverse_ids[a])
                  for a in range(g.order)}
         assert {classes.class_of[y] for y in orbit} == {classes.class_of[x]}
 
@@ -179,13 +180,13 @@ def test_gl1_f5_table_matches_cyclic_group_oracle():
     l, root = t.l, t.root
     assert pow(root, 4, l) == 1 and pow(root, 2, l) != 1
 
-    gen = g.index_of(g.elements[g.id_of_entries((2,))])
+    gen = g.id_of_entries((2,))
     power_of = {g.identity_id: 0}
     cur = gen
     s = 1
     while cur != g.identity_id:
         power_of[cur] = s
-        cur = g.mul_ids(cur, gen)
+        cur = mul_ids(g, cur, gen)
         s += 1
     predicted = set()
     for tt in range(4):
@@ -242,7 +243,7 @@ def test_o3_f3_degrees():
 def test_degree_equals_identity_value():
     g, classes = build("gl", 2, 3)
     t = character_table(g, classes)
-    e_cls = t.identity_class()
+    e_cls = classes.class_of[g.identity_id]
     for d, row in zip(t.degrees, t.values):
         assert row[e_cls] == d
 
@@ -644,7 +645,7 @@ def test_a_dim_inv_past_the_degree_is_caught(f2):
 def test_self_pair_dims():
     g, classes = build("gl", 2, 3)
     t = character_table(g, classes)
-    rows = dim_invariants(t, embed_identity(g))
+    rows = dim_invariants(t, Embedding(g, g, list(range(g.order))))
     dims = Counter(r.dim_inv for r in rows)
     assert dims == {0: 7, 1: 1}
     only_trivial = [r for r in rows if r.dim_inv == 1]
@@ -706,13 +707,14 @@ def test_dims_reconstruct_the_permutation_character(kind, n, q):
         c = len(reps)
         reps.append(x)
         for m in emb.map:
-            coset_of[g.mul_ids(x, m)] = c
+            coset_of[mul_ids(g, x, m)] = c
     assert len(reps) == g.order // h.order
 
     l = t.l
     for c, rep in enumerate(classes.reps):
         fixed = sum(1 for x in reps
-                    if g.mul_ids(g.mul_ids(g.inverse_ids[x], rep), x) in in_h)
+                    if mul_ids(g, mul_ids(g, g.inverse_ids[x], rep), x)
+                    in in_h)
         total = sum(r.dim_inv * t.values[i][c]
                     for i, r in enumerate(rows)) % l
         assert total == fixed % l
@@ -786,12 +788,14 @@ def test_corrupt_cache_values_fail_orthogonality(tmp_path):
     lambda p: p.update(degrees=p["degrees"][1:]),
     lambda p: p["values"][2].pop(),
     lambda p: p["values"][0].__setitem__(0, p["l"]),
+    lambda p: p["degrees"].__setitem__(0, True),
     lambda p: p.update(l=5),
     lambda p: p.update(l=2 ** 31 - 1),
     lambda p: p["class_reps"].reverse(),
     lambda p: p["class_sizes"].reverse(),
 ], ids=["no-l", "no-values", "root-not-int", "short-degrees", "short-row",
-        "value-not-below-l", "l-too-small", "l-past-exact-sums",
+        "value-not-below-l", "degree-a-bool", "l-too-small",
+        "l-past-exact-sums",
         "other-class-reps", "other-class-sizes"])
 def test_a_cache_with_missing_keys_or_wrong_shapes_is_a_miss(tmp_path,
                                                              corrupt):
@@ -806,6 +810,27 @@ def test_a_cache_with_missing_keys_or_wrong_shapes_is_a_miss(tmp_path,
     again = character_table(g, classes, cache_dir=tmp_path)
     assert again.values == t.values
     assert load_character_table(g, classes, tmp_path).values == t.values
+
+
+@pytest.mark.parametrize("degrees,message", [
+    # GL2(F3)'s degrees 1, 1, 2, 2, 2, 3, 3, 4 with the first and last
+    # swapped: the squares still sum to 48 and each still divides it
+    ([4, 1, 2, 2, 2, 3, 3, 1], "degree 4 is not its character's value 1"),
+    # 3, 4 -> 0, 5 keeps the sum of squares
+    ([1, 1, 2, 2, 2, 3, 0, 5], re.escape("degree 0 does not divide |G|")),
+], ids=["permuted", "zero"])
+def test_cached_degrees_that_are_not_the_identity_values_raise(
+        tmp_path, degrees, message):
+    import json
+    g, classes = build("gl", 2, 3)
+    t = character_table(g, classes, cache_dir=tmp_path)
+    assert t.degrees == [1, 1, 2, 2, 2, 3, 3, 4]
+    path = cache_path(tmp_path, g.kind, g.n, g.field.q)
+    payload = json.loads(path.read_text())
+    payload["degrees"] = degrees
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InternalCheckError, match=message):
+        character_table(g, classes, cache_dir=tmp_path)
 
 
 def test_the_cache_is_written_without_indent(tmp_path):
@@ -858,4 +883,4 @@ def test_invariants_need_an_embedding_into_the_table_group():
     other = enumerate_gl(2, field_from_q(3))
     with pytest.raises(DomainError,
                        match="embedding does not target the table's group"):
-        dim_invariants(t, embed_identity(other))
+        dim_invariants(t, Embedding(other, other, list(range(other.order))))

@@ -1,9 +1,12 @@
 import json
 import time
+from itertools import product
 
 import pytest
 
 from gelfand.cli import main
+from gelfand.field import field_from_q
+from gelfand.matrix import MatFq
 from gelfand.pipeline import default_points, run_sweep, run_verify
 
 
@@ -133,13 +136,25 @@ def test_cli_field_info_bad_q(capsys):
 
 
 def test_cli_group_order_and_dump(tmp_path, capsys):
-    dump = tmp_path / "els.txt"
-    assert main(["group", "order", "--type", "gl", "--n", "2", "--q", "2",
-                 "--dump", str(dump)]) == 0
-    assert capsys.readouterr().out == "order: 6\n"
-    lines = dump.read_text().splitlines()
-    assert len(lines) == 6
-    assert lines[0] == "0,1;1,0"  # lexicographically least invertible
+    # oracle: every n x n entry tuple in lexicographic order, kept by
+    # det != 0 (GL) or g^T g = I (O), written as matrix literals
+    for kind, n, q in (("gl", 2, 2), ("gl", 3, 2), ("gl", 2, 4), ("o", 3, 3)):
+        field = field_from_q(q)
+        ident = MatFq.identity(field, n)
+        expected = []
+        for entries in product(range(q), repeat=n * n):
+            m = MatFq(field, n, n, entries)
+            if (m.det() != 0 if kind == "gl"
+                    else m.transpose() * m == ident):
+                expected.append(";".join(",".join(map(str, m.row(i)))
+                                         for i in range(n)) + "\n")
+        dump = tmp_path / f"{kind}{n}{q}.txt"
+        assert main(["group", "order", "--type", kind, "--n", str(n),
+                     "--q", str(q), "--dump", str(dump)]) == 0
+        assert capsys.readouterr().out == f"order: {len(expected)}\n"
+        assert dump.read_text() == "".join(expected)
+    # lexicographically least invertible
+    assert (tmp_path / "gl22.txt").read_text().startswith("0,1;1,0\n")
 
 
 def test_cli_group_order_past_int64_codes_exits_2_at_once(capsys):

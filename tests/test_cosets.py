@@ -7,9 +7,10 @@ import pytest
 from gelfand.cosets import (DoubleCosetDecomposition, classify_nonfixed_gl,
                             double_cosets, involution_action)
 from gelfand.errors import InternalCheckError
-from gelfand.groups import (embed_identity, embed_standard, enumerate_gl,
+from gelfand.groups import (Embedding, embed_standard, enumerate_gl,
                             enumerate_o, orbits)
 from gelfand.matrix import mat_vec
+from reference import mul_ids
 
 
 def make_pair(kind, n, q):
@@ -21,6 +22,10 @@ def make_pair(kind, n, q):
     return g, embed_standard(h, g)
 
 
+def members(d, c):
+    return np.flatnonzero(d.coset_of == c).tolist()
+
+
 # ---------------------------------------------------------
 # decompositions
 # ---------------------------------------------------------
@@ -29,13 +34,13 @@ def test_trivial_subgroup_gives_singletons(f2):
     g, emb = make_pair("gl", 1, 2)
     d = double_cosets(g, emb, mod_center=False)
     assert d.count == 6
-    assert all(len(d.members(c)) == 1 for c in range(6))
+    assert all(len(members(d, c)) == 1 for c in range(6))
 
 
 def test_decomposition_is_a_partition(f3):
     g, emb = make_pair("gl", 1, 3)
     d = double_cosets(g, emb, mod_center=False)
-    assert sorted(x for c in range(d.count) for x in d.members(c)) == \
+    assert sorted(x for c in range(d.count) for x in members(d, c)) == \
         list(range(g.order))
 
 
@@ -44,7 +49,7 @@ def test_reps_are_minimal_ids_in_ascending_order(f3):
     d = double_cosets(g, emb, mod_center=False)
     assert d.reps == sorted(d.reps)
     for c in range(d.count):
-        assert d.reps[c] == min(d.members(c))
+        assert d.reps[c] == min(members(d, c))
 
 
 def test_cosets_are_actual_double_cosets(f3):
@@ -54,12 +59,12 @@ def test_cosets_are_actual_double_cosets(f3):
         d = double_cosets(g, emb, mod_center)
         right = set(emb.map)
         if mod_center:
-            right = {g.mul_ids(z, h)
+            right = {mul_ids(g, z, h)
                      for z in g.center_ids() for h in emb.map}
         for c in range(d.count):
-            orbit = {g.mul_ids(g.mul_ids(h, d.reps[c]), k)
+            orbit = {mul_ids(g, mul_ids(g, h, d.reps[c]), k)
                      for h in emb.map for k in right}
-            assert orbit == set(d.members(c))
+            assert orbit == set(members(d, c))
 
 
 def test_o3_count_matches_sphere_pair_orbits(f3):
@@ -73,7 +78,7 @@ def test_o3_count_matches_sphere_pair_orbits(f3):
     pairs = {(u, v) for u in sphere for v in sphere}
     orbits = 0
     seen = set()
-    gens = [g.elements[i] for i in g.generator_ids]
+    gens = [g.element(i) for i in g.generator_ids]
     for p in sorted(pairs):
         if p in seen:
             continue
@@ -189,7 +194,7 @@ def test_mod_center_needs_the_plain_cosets_of_the_same_pair(f3):
     g, emb = make_pair("gl", 1, 3)
     plain = double_cosets(g, emb)
     mc = double_cosets(g, emb, True, plain)
-    other = embed_identity(g)
+    other = Embedding(g, g, list(range(g.order)))
     for wrong, e in ((mc, emb), (plain, other)):
         with pytest.raises(InternalCheckError, match="plain decomposition"):
             double_cosets(g, e, True, wrong)
@@ -208,10 +213,10 @@ def test_gl2_f2_involution_detail(f2):
     # the fixed cosets are exactly the symmetric elements here (all cosets
     # are singletons since H and the center are trivial)
     for c in range(d.count):
-        m = g.elements[d.reps[c]]
+        m = g.element(d.reps[c])
         assert (a.perm[c] == c) == m.is_symmetric()
     nf = a.nonfixed_coset_ids()
-    reps = {g.elements[d.reps[c]].entries for c in nf}
+    reps = {g.element(d.reps[c]).entries for c in nf}
     assert reps == {(1, 1, 0, 1), (1, 0, 1, 1)}
 
 
@@ -230,7 +235,8 @@ def test_o3_f3_all_cosets_transpose_fixed(f3):
 
 def test_self_pair_has_one_coset(f3):
     g = enumerate_gl(2, f3)
-    a = involution_action(double_cosets(g, embed_identity(g), mod_center=True))
+    self_pair = Embedding(g, g, list(range(g.order)))
+    a = involution_action(double_cosets(g, self_pair, mod_center=True))
     assert a.decomp.count == 1
     assert a.nonfixed_count == 0
 

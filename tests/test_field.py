@@ -186,7 +186,7 @@ def test_inverse_of_zero_rejected(f3):
 @pytest.mark.parametrize("q", ALL_PRIME_POWERS)
 def test_field_axioms_exhaustive(q):
     f = field_from_q(q)
-    els = list(f.elements())
+    els = list(range(f.q))
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a

@@ -8,6 +8,7 @@ import pytest
 from gelfand import symsolve
 from gelfand.errors import CapExceededError, DomainError, InternalCheckError
 from gelfand.field import build_field, field_from_q
+from gelfand.groups import enumerate_gl
 from gelfand.matrix import MatFq, mat_vec, vec_dot
 from gelfand.symsolve import (ORACLE_SEARCH_CAP, _symmetric_stock,
                               oracle_symmetric, solve_symmetric)
@@ -199,11 +200,12 @@ def test_scaling_coherence(f5):
 
 
 def test_swap_inverse_duality(f3):
+    gl = enumerate_gl(2, f3)
     vecs = nonzero_vectors(f3, 2)
     for phi in vecs:
         for v in vecs:
             b = solve_symmetric(f3, phi, v)
-            binv = b.inverse()
+            binv = gl.element(gl.inverse_ids[gl.id_of_entries(b.entries)])
             assert binv.is_symmetric()
             assert mat_vec(binv, v) == phi
 

@@ -116,8 +116,8 @@ MUTANTS = [
      "    if False:",
      "a central character vanishing at the identity is not caught"),
     ("chartab.py",
-     "    if not np.array_equal(rows, t.group.order % l * np.eye(",
-     "    if False and np.array_equal(rows, t.group.order % l * np.eye(",
+     "    if not np.array_equal(rows, order % l * np.eye(",
+     "    if False and np.array_equal(rows, order % l * np.eye(",
      "row orthogonality, the table's one relation check, is removed"),
     ("chartab.py",
      "return order * (l - 1) < 2 ** 53 and",
@@ -149,13 +149,27 @@ MUTANTS = [
      "        if False:",
      "a degree residue that is no admissible square is lifted anyway"),
     ("chartab.py",
-     "    if sum(d * d for d in degrees) != order:",
+     "    if sum(d * d for d in t.degrees) != order:",
      "    if False:",
      "the squared degrees are not checked to sum to |G|"),
     ("chartab.py",
-     "        if order % d:",
+     "        if d < 1 or order % d:",
      "        if False:",
      "a degree that does not divide |G| is kept"),
+    ("chartab.py",
+     "        if d < 1 or order % d:",
+     "        if order % d:",
+     "a cached degree 0 divides |G| by zero instead of raising a named "
+     "error"),
+    ("chartab.py",
+     "        if row[e] != d:",
+     "        if False:",
+     "a degree is not checked against its row's value at the identity, "
+     "so a cache with permuted degrees is used"),
+    ("chartab.py",
+     "isinstance(v, int) and not isinstance(v, bool)",
+     "isinstance(v, int)",
+     "a cached JSON true or false is taken as a residue"),
     ("chartab.py",
      "        if s == 0:",
      "        if False:",
@@ -318,6 +332,11 @@ MUTANTS = [
      "known = dict(zip(g.generator_ids, zip(left, right)))",
      "known = dict(zip(g.generator_ids, zip(left, left)))",
      "a reused pair carries its left permutation twice, no right one"),
+    # -- group order --dump
+    ("cli.py",
+     'fmt=";".join([",".join(["%d"] * n)] * n))',
+     'fmt=",".join([";".join(["%d"] * n)] * n))',
+     "the dump swaps format_matrix's row and entry separators"),
     # -- matrix products
     ("matrix.py",
      "                bi += cols",
@@ -332,6 +351,10 @@ MUTANTS = [
      "from .matrix import format_matrix, mul_batch, mul_flat  # noqa: F401",
      "from .matrix import format_matrix, mul_batch",
      "chartab's mul_flat import is dropped"),
+    ("groups.py",
+     "from .matrix import mul_flat  # noqa: F401",
+     "",
+     "groups' mul_flat import is dropped"),
 ]
 
 
