@@ -368,8 +368,10 @@ def _sums_exact(order: int, k: int, l: int) -> bool:
 
 def _verify_table(t: CharacterTable):
     """The degrees square-sum to |G|, divide it and are their rows' values
-    at the identity class; then the row relation mod l in int64, each
-    product summing k terms below l^2, exact under ``_sums_exact``."""
+    at the identity class, and the rows are sorted by (degree, value row)
+    as ``character_table`` writes them; then the row relation mod l in
+    int64, each product summing k terms below l^2, exact under
+    ``_sums_exact``."""
     order = t.group.order
     if sum(d * d for d in t.degrees) != order:
         raise InternalCheckError("sum of squared degrees != |G|")
@@ -381,6 +383,10 @@ def _verify_table(t: CharacterTable):
         if row[e] != d:
             raise InternalCheckError(f"degree {d} is not its character's "
                                      f"value {row[e]} at the identity")
+    rows = list(zip(t.degrees, t.values))
+    if rows != sorted(rows):
+        raise InternalCheckError("character rows are not sorted by "
+                                 "(degree, value row)")
     l = t.l
     k = t.count
     v = np.array(t.values, dtype=np.int64)

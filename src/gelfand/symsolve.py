@@ -29,12 +29,12 @@ field and size under ORACLE_SEARCH_CAP by one path.  The symmetric matrices
 are decoded from their upper-triangle codes as one uint8 batch and kept
 when one batched fraction-free elimination through the field's add and mul
 tables reaches rank n; that stock is built once per (field, n) and stored
-entry-major, so each entry B_ij of every stock matrix is one contiguous
-array.  A call then narrows the stock one coordinate at a time:
-coordinate i of B*phi is folded over j by 1-D ``take``s from the flattened
-add table at mul[phi_j, B_ij] * q + acc, coordinate 0 over the whole stock
-and each later one only over the ascending indices still matching v, and
-the first survivor is returned.  No survivor raises InternalCheckError.
+as the base-q codes of its rows, one contiguous array per row index.
+Coordinate i of B*phi depends only on row i of B, so a call folds phi once
+over the q^n row vectors, dots[r] = r*phi, and then narrows the stock one
+coordinate at a time by gathers through dots: coordinate 0 over the whole
+stock, each later one only over the ascending indices still matching v.
+The first survivor is returned; no survivor raises InternalCheckError.
 The oracle shares nothing with the solver beyond the input check: no
 ``_eliminate`` or ``MatFq.det``.
 """
@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import Fq
-from .groups import decode
-from .matrix import MatFq, mat_vec, vec_dot
+from .groups import decode, encode
+from .matrix import MatFq, _inner, mat_vec, vec_dot
 
 ORACLE_SEARCH_CAP = 15_625
 
@@ -59,11 +59,14 @@ def _check_input(field: Fq, phi, v) -> tuple[tuple, tuple]:
     if len(phi) != len(v) or not phi:
         raise DomainError("phi and v must be nonempty vectors of equal length")
     for x in phi + v:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise DomainError(f"entry {x!r} is not an integer")
         if not 0 <= x < field.q:
             raise DomainError(f"entry {x} not a valid index for {field!r}")
     if not any(phi) or not any(v):
         raise DomainError("phi and v must both be nonzero")
-    return phi, v
+    # Fq's scalar ops index by a*q + b, which wraps in a numpy uint8
+    return tuple(map(int, phi)), tuple(map(int, v))
 
 
 def _check_solution(field: Fq, phi: tuple, v: tuple, flat: tuple, n: int):
@@ -140,7 +143,7 @@ def _full_rank(mats: np.ndarray, field: Fq) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _symmetric_stock(field: Fq, n: int) -> np.ndarray:
     """The invertible symmetric n x n matrices in canonical order, as an
-    (n, n, count) uint8 array whose [i, j] is entry (i, j) of every matrix:
+    (n, count) array whose [i] is the base-q code of row i of every matrix:
     the upper triangles, row-major, are the base-q digits of 0, 1, ...,
     q^(n(n+1)/2) - 1."""
     q, tri = field.q, n * (n + 1) // 2
@@ -149,38 +152,40 @@ def _symmetric_stock(field: Fq, n: int) -> np.ndarray:
     mats = np.empty((len(upper), n, n), dtype=np.uint8)
     mats[:, rows, cols] = upper
     mats[:, cols, rows] = upper
-    stock = np.ascontiguousarray(
-        mats[_full_rank(mats, field)].transpose(1, 2, 0))
+    kept = mats[_full_rank(mats, field)]
+    stock = np.array([encode(kept[:, i], q) for i in range(n)],
+                     dtype=np.min_scalar_type(q ** n - 1))
     stock.flags.writeable = False  # the cache hands it to every call
     return stock
+
+
+@functools.lru_cache(maxsize=None)
+def _row_vectors(field: Fq, n: int) -> np.ndarray:
+    """The q^n row vectors of length n, row r holding the digits of code r."""
+    return decode(np.arange(field.q ** n), n, field.q)
 
 
 def oracle_symmetric(field: Fq, phi: tuple, v: tuple) -> MatFq:
     """First (canonical order) symmetric invertible B with B*phi = v.
 
-    Coordinate 0 of B*phi is taken over the whole stock; each later
-    coordinate only over the ascending stock indices that matched v so far.
-    The module docstring proves a solution exists for nonzero phi and v,
-    so an empty candidate set is an internal error, raised at once."""
+    Coordinate i of B*phi is r*phi for row i of B, so one fold of phi over
+    the q^n row vectors answers every row.  Coordinate 0 is then looked up
+    over the whole stock; each later coordinate only over the ascending
+    stock indices that matched v so far.  The module docstring proves a
+    solution exists for nonzero phi and v, so an empty candidate set is an
+    internal error."""
     phi, v = _check_input(field, phi, v)
     n = len(phi)
     if field.q ** (n * (n + 1) // 2) > ORACLE_SEARCH_CAP:
         raise CapExceededError(
             f"oracle search space q^(n(n+1)/2) exceeds {ORACLE_SEARCH_CAP}")
     stock = _symmetric_stock(field, n)
-    add, mul = field.arrays()
-    add = add.ravel()
-    # a*q + b overflows uint8 once q > 16
-    scaled = mul[list(phi)].astype(np.uint16) * field.q
-    cand = None  # the stock indices whose coordinates so far equal v's
-    for i in range(n):
-        row = stock[i] if cand is None else stock[i].take(cand, axis=1)
-        acc = mul[phi[0]].take(row[0])
-        for j in range(1, n):
-            acc = add.take(scaled[j].take(row[j]) + acc)
-        hit = np.flatnonzero(acc == v[i])
-        cand = hit if cand is None else cand[hit]
-        if not len(cand):
-            raise InternalCheckError(
-                f"oracle found no symmetric invertible B mapping {phi} to {v}")
-    return MatFq(field, n, n, stock[:, :, cand[0]].ravel().tolist())
+    rows = _row_vectors(field, n)
+    dots = _inner(rows, np.array(phi, dtype=np.uint8), field)  # dots[r] = r*phi
+    cand = np.flatnonzero((dots == v[0]).take(stock[0]))
+    for i in range(1, n):
+        cand = cand[(dots == v[i]).take(stock[i].take(cand))]
+    if not len(cand):
+        raise InternalCheckError(
+            f"oracle found no symmetric invertible B mapping {phi} to {v}")
+    return MatFq(field, n, n, rows[stock[:, cand[0]]].ravel().tolist())

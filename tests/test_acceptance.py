@@ -9,6 +9,7 @@ The verification grids are
 and each criterion prints one PASS line with the numbers it certified.
 """
 
+import hashlib
 from itertools import product
 
 from gelfand.field import build_field
@@ -59,9 +60,16 @@ def test_criterion_3_o_gelfand_property(o_reports):
           f"{len(o_reports)} grid points")
 
 
-# criterion 4: the symmetric solver is sound and complete vs the oracle
+# criterion 4: the symmetric solver is sound and complete vs the oracle;
+# ORACLE_DIGEST is the sha256 of the oracle's outputs' entries as bytes,
+# in this loop's order
+ORACLE_DIGEST = (
+    "eedf1b3d20b896cb8cb4b7d29ce457e2aca760e22b3e67d20d87ac179db96437")
+
+
 def test_criterion_4_symmetric_solver_exhaustive():
     checked = 0
+    digest = hashlib.sha256()
     for q in (2, 3, 5):
         field = build_field(q, 1)
         for n in (1, 2, 3):
@@ -69,10 +77,14 @@ def test_criterion_4_symmetric_solver_exhaustive():
             for phi in vecs:
                 for v in vecs:
                     b = solve_symmetric(field, phi, v)
-                    assert b.is_symmetric() and b.det() != 0
-                    assert mat_vec(b, phi) == v
-                    assert oracle_symmetric(field, phi, v) is not None
+                    first = oracle_symmetric(field, phi, v)
+                    for m in (b, first):
+                        assert m.is_symmetric() and m.det() != 0
+                        assert mat_vec(m, phi) == v
+                    digest.update(bytes(first.entries))
                     checked += 1
+    assert checked == 16_771
+    assert digest.hexdigest() == ORACLE_DIGEST
     print(f"ACCEPTANCE 4 (symmetric solver, n <= 3, q in 2/3/5): PASS on "
           f"{checked} instances, zero failures")
 

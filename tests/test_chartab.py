@@ -21,6 +21,7 @@ from gelfand.field import field_from_q
 from gelfand.groups import (Embedding, embed_standard, enumerate_gl,
                             enumerate_o)
 from gelfand.matrix import format_matrix, mul_batch
+from gelfand.pipeline import run_verify
 from reference import element_order, mul_ids
 
 
@@ -831,6 +832,21 @@ def test_cached_degrees_that_are_not_the_identity_values_raise(
     path.write_text(json.dumps(payload))
     with pytest.raises(InternalCheckError, match=message):
         character_table(g, classes, cache_dir=tmp_path)
+
+
+def test_a_cache_with_its_rows_reversed_raises(tmp_path):
+    # every other check passes on the reversed rows: the same characters,
+    # listed 8, 7, 6, 3, 3, 1 instead of the written order
+    import json
+    run_verify("gl", 2, 2, cache_dir=tmp_path)
+    [path] = tmp_path.iterdir()
+    payload = json.loads(path.read_text())
+    payload["degrees"].reverse()
+    payload["values"].reverse()
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InternalCheckError, match=r"not sorted by "
+                                                 r"\(degree, value row\)"):
+        run_verify("gl", 2, 2, cache_dir=tmp_path)
 
 
 def test_the_cache_is_written_without_indent(tmp_path):

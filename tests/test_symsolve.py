@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from gelfand import symsolve
 from gelfand.errors import CapExceededError, DomainError, InternalCheckError
 from gelfand.field import build_field, field_from_q
-from gelfand.groups import enumerate_gl
+from gelfand.groups import decode, enumerate_gl
 from gelfand.matrix import MatFq, mat_vec, vec_dot
 from gelfand.symsolve import (ORACLE_SEARCH_CAP, _symmetric_stock,
                               oracle_symmetric, solve_symmetric)
@@ -21,6 +22,12 @@ ORACLE_GRID = [(q, n) for q in PRIME_POWERS for n in range(1, 5)
 
 def nonzero_vectors(field, n):
     return [v for v in product(range(field.q), repeat=n) if any(v)]
+
+
+def assert_transports(b, phi, v):
+    """b is a symmetric invertible matrix with b*phi = v."""
+    assert b.is_symmetric() and b.det() != 0
+    assert mat_vec(b, phi) == v
 
 
 # ---------------------------------------------------------
@@ -48,7 +55,7 @@ def test_f2_unique_solution(f2):
 
 
 def test_oracle_examples(f2, f3):
-    assert oracle_symmetric(f3, (1, 0), (0, 1)) is not None
+    assert_transports(oracle_symmetric(f3, (1, 0), (0, 1)), (1, 0), (0, 1))
     assert oracle_symmetric(f2, (1,), (1,)).to_rows() == [[1]]
 
 
@@ -94,6 +101,34 @@ def test_oracle_refuses_entries_outside_the_field(f3, phi, v, entry):
     # (0, 7) used to read as "no transporter exists"
     with pytest.raises(DomainError, match=f"entry {entry} not a valid index"):
         oracle_symmetric(f3, phi, v)
+
+
+@pytest.mark.parametrize("phi,v,entry", [
+    ((1.0, 0), (1, 0), "1.0"),
+    ((True, 0), (1, 0), "True"),
+    ((1, 0), (0, np.float64(1)), "np.float64(1.0)"),
+    ((1, 0), (np.bool_(True), 0), "np.True_"),
+], ids=["float", "bool", "numpy-float", "numpy-bool"])
+def test_entries_that_are_not_integers_are_refused(f3, phi, v, entry):
+    # a float used to raise a bare TypeError in the solver and an
+    # IndexError in the oracle; True read as 1 in the solver and made the
+    # oracle report that no transporter exists
+    for solve in (solve_symmetric, oracle_symmetric):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"entry {entry} is not an integer")):
+            solve(f3, phi, v)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+@pytest.mark.parametrize("q,phi,v", [(3, (1, 0), (0, 1)),
+                                     (23, (22, 21), (20, 22))])
+def test_numpy_integer_entries_are_accepted(q, phi, v, dtype):
+    # over GF(23) a uint8 entry used to wrap the solver's a*q + b and make
+    # it report a non-symmetric matrix
+    field = field_from_q(q)
+    as_numpy = tuple(np.array(phi, dtype)), tuple(np.array(v, dtype))
+    for solve in (solve_symmetric, oracle_symmetric):
+        assert solve(field, *as_numpy) == solve(field, phi, v)
 
 
 def test_oracle_cap():
@@ -146,7 +181,7 @@ def test_solver_matches_oracle_exhaustively(q, n):
     for phi in vecs:
         for v in vecs:
             b = solve_symmetric(field, phi, v)  # postconditions self-checked
-            assert oracle_symmetric(field, phi, v) is not None
+            assert_transports(oracle_symmetric(field, phi, v), phi, v)
             assert mat_vec(b, phi) == v
 
 
@@ -156,7 +191,7 @@ def test_solver_over_f4(f4):
     for phi in vecs:
         for v in vecs:
             b = solve_symmetric(f4, phi, v)
-            assert oracle_symmetric(f4, phi, v) is not None
+            assert_transports(oracle_symmetric(f4, phi, v), phi, v)
             assert mat_vec(b, phi) == v
 
 
@@ -251,14 +286,14 @@ def test_stock_size_is_the_closed_form(q, n):
     expected = q ** (m * (m + 1))
     for i in range(1, (n + 1) // 2 + 1):
         expected *= q ** (2 * i - 1) - 1
-    # the stock is entry-major, (n, n, count); one matrix per last index
-    matrices = np.moveaxis(_symmetric_stock(field_from_q(q), n), -1, 0)
-    assert len(matrices) == expected
+    # the stock holds row codes, (n, count); one matrix per column
+    assert _symmetric_stock(field_from_q(q), n).shape == (n, expected)
 
 
 def test_the_stock_equals_the_reference_in_canonical_order(f5):
-    matrices = np.moveaxis(_symmetric_stock(f5, 2), -1, 0)
-    assert [MatFq(f5, 2, 2, b.ravel().tolist())
+    # column c holds the base-5 codes of matrix c's rows
+    matrices = decode(_symmetric_stock(f5, 2).T.ravel(), 2, 5).reshape(-1, 4)
+    assert [MatFq(f5, 2, 2, b.tolist())
             for b in matrices] == reference_stock(5, 2)
 
 
@@ -279,7 +314,7 @@ def test_oracle_matches_the_reference_on_every_instance(q, n):
 
 def test_an_oracle_with_no_hit_raises_naming_phi_and_v(f3, monkeypatch):
     monkeypatch.setattr(symsolve, "_symmetric_stock",
-                        lambda field, n: np.zeros((n, n, 0), dtype=np.uint8))
+                        lambda field, n: np.zeros((n, 0), dtype=np.uint8))
     with pytest.raises(InternalCheckError,
                        match=r"no symmetric invertible B mapping "
                              r"\(1, 0\) to \(0, 1\)"):

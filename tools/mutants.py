@@ -167,6 +167,11 @@ MUTANTS = [
      "a degree is not checked against its row's value at the identity, "
      "so a cache with permuted degrees is used"),
     ("chartab.py",
+     "    if rows != sorted(rows):",
+     "    if False:",
+     "a cache whose rows are permuted together is used, reordering the "
+     "report"),
+    ("chartab.py",
      "isinstance(v, int) and not isinstance(v, bool)",
      "isinstance(v, int)",
      "a cached JSON true or false is taken as a residue"),
@@ -299,29 +304,42 @@ MUTANTS = [
      "the rank-one sum runs over every i"),
     # -- the oracle's scan
     ("symsolve.py",
-     "mul[list(phi)].astype(np.uint16)",
-     "mul[list(phi)].astype(np.uint8)",
-     "the scaled mul rows are uint8, so a*q + b wraps once q > 16"),
+     "encode(kept[:, i], q)",
+     "encode(kept[:, 0], q)",
+     "every row code of the stock is its matrix's row 0"),
     ("symsolve.py",
-     "    for i in range(n):\n        row",
-     "    for i in range(n - 1):\n        row",
+     "np.array(phi, dtype=np.uint8)",
+     "np.array(phi[::-1], dtype=np.uint8)",
+     "the row fold reads phi reversed"),
+    ("symsolve.py",
+     "    for i in range(1, n):\n        cand",
+     "    for i in range(1, n - 1):\n        cand",
      "the last coordinate of B*phi never narrows the candidates"),
     ("symsolve.py",
-     "stock[i] if cand is None else stock[i].take(cand, axis=1)",
-     "stock[i]",
-     "a later coordinate reads the whole stock, not the candidates"),
+     "take(stock[i].take(cand))",
+     "take(stock[i][:len(cand)])",
+     "a later coordinate reads the first stock rows, not the candidates'"),
     ("symsolve.py",
-     "cand = hit if cand is None else cand[hit]",
-     "cand = hit",
+     "cand = cand[(dots == v[i]).take(stock[i].take(cand))]",
+     "cand = np.flatnonzero((dots == v[i]).take(stock[i].take(cand)))",
      "a coordinate's hits replace the candidates instead of indexing them"),
     ("symsolve.py",
-     "stock[:, :, cand[0]]",
-     "stock[:, :, cand[-1]]",
+     "stock[:, cand[0]]",
+     "stock[:, cand[-1]]",
      "the oracle returns the last survivor, not the first"),
     ("symsolve.py",
-     "        if not len(cand):",
-     "        if False:",
+     "    if not len(cand):",
+     "    if False:",
      "an oracle with no hit fails with an IndexError, not a named one"),
+    # -- the solver's and oracle's input check
+    ("symsolve.py",
+     "if isinstance(x, bool) or not isinstance(x, (int, np.integer)):",
+     "if not isinstance(x, (int, np.integer)):",
+     "a bool entry passes the input check"),
+    ("symsolve.py",
+     "    return tuple(map(int, phi)), tuple(map(int, v))",
+     "    return phi, v",
+     "numpy uint8 entries reach Fq's a*q + b and wrap"),
     # -- double cosets from the generators' own pairs
     ("cosets.py",
      "known = dict(zip(g.generator_ids, zip(left, right)))",
