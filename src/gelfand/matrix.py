@@ -1,18 +1,23 @@
 """Exact dense linear algebra over GF(q).
 
 A matrix stores its entries as a flat row-major tuple of canonical field
-indices plus a reference to its field; it is immutable and hashable.  Group
-tables key their elements by int64 base-q codes (``groups.encode``).
+indices plus a reference to its field; it is immutable and hashable.  The
+entries are Python ints: numpy integers are converted on the way in, since
+the field's scalar tables are indexed at a*q + b, which wraps in a uint8.
+Group tables key their elements by int64 base-q codes (``groups.encode``).
 
 Vectors are plain tuples of field indices; helpers below cover the
 matrix-vector and inner products the rest of the package needs.
 
 The determinant uses exact Gauss-Jordan elimination with the pivot chosen
 as the first nonzero entry in column scan order (any pivot rule is correct
-over an exact field; this one is deterministic).
+over an exact field; this one is deterministic).  It and ``vec_dot`` read
+the field's flat add/mul/neg/inv lists, as ``_mul_entries`` does.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -84,8 +89,11 @@ def identity_flat(n: int) -> tuple:
 
 
 def _eliminate(rows_list: list[list[int]], field: Fq):
-    """In-place Gauss-Jordan; returns (rank, det) with det 0 when
-    rank-deficient, sign-corrected for row swaps."""
+    """In-place Gauss-Jordan through the field's flat tables; returns
+    (rank, det) with det 0 when rank-deficient, sign-corrected for row
+    swaps."""
+    q = field.q
+    addt, mult, negt, invt = field._add, field._mul, field._neg, field._inv
     m = len(rows_list)
     ncols = len(rows_list[0]) if m else 0
     rank = 0
@@ -103,21 +111,31 @@ def _eliminate(rows_list: list[list[int]], field: Fq):
         if pivot_row != rank:
             rows_list[rank], rows_list[pivot_row] = (rows_list[pivot_row],
                                                      rows_list[rank])
-            det = field.neg(det)
-        pivot = rows_list[rank][col]
-        det = field.mul(det, pivot)
-        pinv = field.inv(pivot)
+            det = negt[det]
         prow = rows_list[rank]
+        pivot = prow[col]
+        det = mult[det * q + pivot]
+        pinv = invt[pivot]
         for j in range(col, ncols):
-            prow[j] = field.mul(prow[j], pinv)
+            prow[j] = mult[prow[j] * q + pinv]
         for i in range(m):
             if i != rank and rows_list[i][col]:
-                f = rows_list[i][col]
+                f = negt[rows_list[i][col]] * q  # row += (-f) * prow
                 row = rows_list[i]
                 for j in range(col, ncols):
-                    row[j] = field.sub(row[j], field.mul(f, prow[j]))
+                    row[j] = addt[row[j] * q + mult[f + prow[j]]]
         rank += 1
     return rank, det
+
+
+def _as_int(x) -> int:
+    """x as a Python int; a bool or a non-integer is refused."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise DomainError(f"entry {x!r} is not an integer")
 
 
 class MatFq:
@@ -129,6 +147,8 @@ class MatFq:
         entries = tuple(entries)
         if rows < 1 or cols < 1 or len(entries) != rows * cols:
             raise DomainError(f"bad shape {rows}x{cols} for {len(entries)} entries")
+        if set(map(type, entries)) != {int}:  # a numpy int wraps a*q + b
+            entries = tuple(map(_as_int, entries))
         q = field.q
         for x in entries:
             if not 0 <= x < q:
@@ -209,9 +229,12 @@ class MatFq:
 # -- vectors (plain tuples of indices) ----------------------------------------
 
 def vec_dot(field: Fq, a: tuple, b: tuple) -> Scalar:
+    q = field.q
+    addt = field._add
+    mult = field._mul
     acc = 0
     for x, y in zip(a, b):
-        acc = field.add(acc, field.mul(x, y))
+        acc = addt[acc * q + mult[x * q + y]]
     return acc
 
 

@@ -30,13 +30,16 @@ are decoded from their upper-triangle codes as one uint8 batch and kept
 when one batched fraction-free elimination through the field's add and mul
 tables reaches rank n; that stock is built once per (field, n) and stored
 as the base-q codes of its rows, one contiguous array per row index.
-Coordinate i of B*phi depends only on row i of B, so a call folds phi once
-over the q^n row vectors, dots[r] = r*phi, and then narrows the stock one
-coordinate at a time by gathers through dots: coordinate 0 over the whole
-stock, each later one only over the ascending indices still matching v.
-The first survivor is returned; no survivor raises InternalCheckError.
-The oracle shares nothing with the solver beyond the input check: no
-``_eliminate`` or ``MatFq.det``.
+Row 0's code is the leading n digits of the canonical index, so the stock
+is sorted by it and falls into one run per row-0 code; the run offsets are
+kept beside the stock.  Coordinate i of B*phi depends only on row i of B,
+so a call folds phi once into dots[r] = r*phi for all q^n row codes r, one
+table gather per digit, and walks the row-0 codes r with dots[r] = v_0 in
+ascending order, testing only run r against the later coordinates of v.
+The first run with a survivor holds the first hit, and its least survivor
+is returned; no survivor raises InternalCheckError.  The oracle keeps no
+state per phi and shares nothing with the solver beyond the input check:
+no ``_eliminate`` or ``MatFq.det``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import Fq
 from .groups import decode, encode
-from .matrix import MatFq, _inner, mat_vec, vec_dot
+from .matrix import MatFq, mat_vec, vec_dot
 
 ORACLE_SEARCH_CAP = 15_625
 
@@ -140,12 +143,21 @@ def _full_rank(mats: np.ndarray, field: Fq) -> np.ndarray:
     return kept
 
 
+def _row0_runs(row0: np.ndarray, codes: int) -> tuple:
+    """Offsets of the runs of a stock sorted by its row-0 codes: the
+    matrices whose row 0 has code r are stock[:, runs[r]:runs[r + 1]], for
+    r < codes."""
+    if np.any(row0[1:] < row0[:-1]):
+        raise InternalCheckError("the symmetric stock is not sorted by row 0")
+    return tuple(np.searchsorted(row0, np.arange(codes + 1)).tolist())
+
+
 @functools.lru_cache(maxsize=None)
-def _symmetric_stock(field: Fq, n: int) -> np.ndarray:
+def _symmetric_stock(field: Fq, n: int) -> tuple[np.ndarray, tuple]:
     """The invertible symmetric n x n matrices in canonical order, as an
     (n, count) array whose [i] is the base-q code of row i of every matrix:
     the upper triangles, row-major, are the base-q digits of 0, 1, ...,
-    q^(n(n+1)/2) - 1."""
+    q^(n(n+1)/2) - 1.  Returned with the offsets of its row-0 runs."""
     q, tri = field.q, n * (n + 1) // 2
     upper = decode(np.arange(q ** tri), tri, q)
     rows, cols = np.triu_indices(n)
@@ -156,7 +168,7 @@ def _symmetric_stock(field: Fq, n: int) -> np.ndarray:
     stock = np.array([encode(kept[:, i], q) for i in range(n)],
                      dtype=np.min_scalar_type(q ** n - 1))
     stock.flags.writeable = False  # the cache hands it to every call
-    return stock
+    return stock, _row0_runs(stock[0], q ** n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,24 +180,32 @@ def _row_vectors(field: Fq, n: int) -> np.ndarray:
 def oracle_symmetric(field: Fq, phi: tuple, v: tuple) -> MatFq:
     """First (canonical order) symmetric invertible B with B*phi = v.
 
-    Coordinate i of B*phi is r*phi for row i of B, so one fold of phi over
-    the q^n row vectors answers every row.  Coordinate 0 is then looked up
-    over the whole stock; each later coordinate only over the ascending
-    stock indices that matched v so far.  The module docstring proves a
-    solution exists for nonzero phi and v, so an empty candidate set is an
-    internal error."""
+    Coordinate i of B*phi is r*phi for row i of B, so one fold of phi into
+    r*phi for every row code r answers every row.  The stock is sorted by
+    row 0, so the first hit lies in the first run whose row-0 code r has
+    r*phi = v_0 and which holds a matrix matching the later coordinates
+    too: the runs are walked in ascending r, and only their own matrices
+    are tested.  The module docstring proves a solution exists for nonzero
+    phi and v, so walking every run without a hit is an internal error."""
     phi, v = _check_input(field, phi, v)
     n = len(phi)
     if field.q ** (n * (n + 1) // 2) > ORACLE_SEARCH_CAP:
         raise CapExceededError(
             f"oracle search space q^(n(n+1)/2) exceeds {ORACLE_SEARCH_CAP}")
-    stock = _symmetric_stock(field, n)
-    rows = _row_vectors(field, n)
-    dots = _inner(rows, np.array(phi, dtype=np.uint8), field)  # dots[r] = r*phi
-    cand = np.flatnonzero((dots == v[0]).take(stock[0]))
-    for i in range(1, n):
-        cand = cand[(dots == v[i]).take(stock[i].take(cand))]
-    if not len(cand):
-        raise InternalCheckError(
-            f"oracle found no symmetric invertible B mapping {phi} to {v}")
-    return MatFq(field, n, n, rows[stock[:, cand[0]]].ravel().tolist())
+    stock, runs = _symmetric_stock(field, n)
+    add, mul = field.arrays()
+    dots = mul[:, phi[0]]  # dots[r] = r*phi, r's leading digit first
+    for x in phi[1:]:
+        dots = add[dots[:, None], mul[:, x]].ravel()
+    wanted = [dots == x for x in v]
+    for r in np.flatnonzero(wanted[0]).tolist():
+        start, stop = runs[r], runs[r + 1]
+        hit = np.ones(stop - start, dtype=bool)  # every row 0 here is r
+        for i in range(1, n):
+            hit &= wanted[i].take(stock[i, start:stop])
+        hits = np.flatnonzero(hit)
+        if len(hits):
+            b = _row_vectors(field, n)[stock[:, start + hits[0]]]
+            return MatFq(field, n, n, b.ravel().tolist())
+    raise InternalCheckError(
+        f"oracle found no symmetric invertible B mapping {phi} to {v}")

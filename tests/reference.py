@@ -1,6 +1,9 @@
-"""Independent references that tests compare the group kernel against: one
+"""Independent references that tests compare the package against: one
 product and one element order at a time, through ``MatFq`` products and
-the table's lookup, never through its permutations or batches."""
+the table's lookup, never through the group kernel's permutations or
+batches; and the determinant as the Leibniz sum, with no elimination."""
+
+from itertools import combinations, permutations
 
 
 def mul_ids(g, i: int, j: int) -> int:
@@ -16,3 +19,18 @@ def element_order(g, i: int) -> int:
         cur = mul_ids(g, cur, i)
         m += 1
     return m
+
+
+def leibniz_det(m) -> int:
+    """det m = sum over permutations s of sign(s) prod_i m[i, s(i)], through
+    the field's scalar add, mul and neg."""
+    field, n = m.field, m.rows
+    total = 0
+    for perm in permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = field.mul(term, m[i, j])
+        if sum(a > b for a, b in combinations(perm, 2)) % 2:
+            term = field.neg(term)
+        total = field.add(total, term)
+    return total

@@ -1,12 +1,15 @@
 import random
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 
 from gelfand.errors import DomainError, InternalCheckError
+from gelfand.field import field_from_q
 from gelfand.groups import enumerate_gl
 from gelfand.matrix import MatFq, format_matrix, mat_vec, parse_vector, vec_dot
+from reference import leibniz_det
 
 
 def all_square(field, n):
@@ -119,6 +122,28 @@ def test_rank_det_invertibility_agree(f3):
                 g.ids_of(batch)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_det_is_the_leibniz_sum_on_every_2x2(q):
+    for m in all_square(field_from_q(q), 2):
+        assert m.det() == leibniz_det(m)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_det_is_the_leibniz_sum_on_every_3x3(q):
+    for m in all_square(field_from_q(q), 3):
+        assert m.det() == leibniz_det(m)
+
+
+@pytest.mark.parametrize("q", [16, 25])
+def test_det_is_the_leibniz_sum_on_a_sample(q):
+    field = field_from_q(q)
+    rng = random.Random(q)
+    for n in (2, 3, 4):
+        for _ in range(200):
+            m = MatFq(field, n, n, [rng.randrange(q) for _ in range(n * n)])
+            assert m.det() == leibniz_det(m)
+
+
 def test_transpose_is_an_involution(f3):
     for m in all_square(f3, 2):
         assert m.transpose().transpose() == m
@@ -155,6 +180,25 @@ def test_cross_field_product_rejected(f2, f3):
 def test_entry_validation(f3):
     with pytest.raises(DomainError):
         MatFq(f3, 1, 1, [3])
+
+
+def test_numpy_integer_entries_are_stored_as_ints():
+    # over GF(23) uint8 entries used to wrap Fq's a*q + b: det read 10
+    f23 = field_from_q(23)
+    m = MatFq(f23, 2, 2, np.array([22, 21, 20, 22], np.uint8))
+    assert all(type(x) is int for x in m.entries)
+    assert m.det() == 18  # 22*22 - 21*20 = 64
+    assert m == MatFq(f23, 2, 2, [22, 21, 20, 22])
+
+
+@pytest.mark.parametrize("entry,shown", [
+    (1.0, "1.0"), (True, "True"), (np.bool_(True), "np.True_"),
+    (np.float64(1), "np.float64(1.0)"), ("1", "'1'")],
+    ids=["float", "bool", "numpy-bool", "numpy-float", "str"])
+def test_entries_that_are_not_integers_are_refused(f3, entry, shown):
+    with pytest.raises(DomainError, match=re.escape(f"entry {shown} is not "
+                                                    "an integer")):
+        MatFq(f3, 1, 2, [0, entry])
 
 
 def test_literal_roundtrip(f5):

@@ -287,12 +287,14 @@ def test_stock_size_is_the_closed_form(q, n):
     for i in range(1, (n + 1) // 2 + 1):
         expected *= q ** (2 * i - 1) - 1
     # the stock holds row codes, (n, count); one matrix per column
-    assert _symmetric_stock(field_from_q(q), n).shape == (n, expected)
+    stock, _ = _symmetric_stock(field_from_q(q), n)
+    assert stock.shape == (n, expected)
 
 
 def test_the_stock_equals_the_reference_in_canonical_order(f5):
     # column c holds the base-5 codes of matrix c's rows
-    matrices = decode(_symmetric_stock(f5, 2).T.ravel(), 2, 5).reshape(-1, 4)
+    stock, _ = _symmetric_stock(f5, 2)
+    matrices = decode(stock.T.ravel(), 2, 5).reshape(-1, 4)
     assert [MatFq(f5, 2, 2, b.tolist())
             for b in matrices] == reference_stock(5, 2)
 
@@ -312,9 +314,26 @@ def test_oracle_matches_the_reference_on_every_instance(q, n):
         assert oracle_symmetric(field, phi, v) == expected
 
 
+@pytest.mark.parametrize("q,n", ORACLE_GRID)
+def test_the_row0_runs_partition_the_stock(q, n):
+    stock, runs = _symmetric_stock(field_from_q(q), n)
+    assert len(runs) == q ** n + 1
+    assert runs[0] == 0 and runs[-1] == stock.shape[1]
+    assert list(runs) == sorted(runs)  # so the runs cover the stock once
+    for r in range(q ** n):
+        assert (stock[0, runs[r]:runs[r + 1]] == r).all()
+
+
+def test_a_stock_not_sorted_by_row_0_is_refused():
+    with pytest.raises(InternalCheckError, match="not sorted by row 0"):
+        symsolve._row0_runs(np.array([1, 2, 2, 0, 3]), 4)
+
+
 def test_an_oracle_with_no_hit_raises_naming_phi_and_v(f3, monkeypatch):
+    # an empty stock has every run empty, so the walk finds nothing
     monkeypatch.setattr(symsolve, "_symmetric_stock",
-                        lambda field, n: np.zeros((n, 0), dtype=np.uint8))
+                        lambda field, n: (np.zeros((n, 0), dtype=np.uint8),
+                                          (0,) * (field.q ** n + 1)))
     with pytest.raises(InternalCheckError,
                        match=r"no symmetric invertible B mapping "
                              r"\(1, 0\) to \(0, 1\)"):

@@ -308,29 +308,35 @@ MUTANTS = [
      "encode(kept[:, 0], q)",
      "every row code of the stock is its matrix's row 0"),
     ("symsolve.py",
-     "np.array(phi, dtype=np.uint8)",
-     "np.array(phi[::-1], dtype=np.uint8)",
+     "    dots = mul[:, phi[0]]  # dots[r] = r*phi, r's leading digit first\n"
+     "    for x in phi[1:]:",
+     "    dots = mul[:, phi[-1]]  # dots[r] = r*phi, r's leading digit first\n"
+     "    for x in phi[-2::-1]:",
      "the row fold reads phi reversed"),
     ("symsolve.py",
-     "    for i in range(1, n):\n        cand",
-     "    for i in range(1, n - 1):\n        cand",
-     "the last coordinate of B*phi never narrows the candidates"),
+     "        for i in range(1, n):\n            hit",
+     "        for i in range(1, n - 1):\n            hit",
+     "the last coordinate of B*phi is skipped"),
     ("symsolve.py",
-     "take(stock[i].take(cand))",
-     "take(stock[i][:len(cand)])",
-     "a later coordinate reads the first stock rows, not the candidates'"),
+     "take(stock[i, start:stop])",
+     "take(stock[i, :stop - start])",
+     "a run is read from the stock's start"),
     ("symsolve.py",
-     "cand = cand[(dots == v[i]).take(stock[i].take(cand))]",
-     "cand = np.flatnonzero((dots == v[i]).take(stock[i].take(cand)))",
-     "a coordinate's hits replace the candidates instead of indexing them"),
+     "stock[:, start + hits[0]]",
+     "stock[:, start + hits[-1]]",
+     "the oracle returns the run's last survivor, not the first"),
     ("symsolve.py",
-     "stock[:, cand[0]]",
-     "stock[:, cand[-1]]",
-     "the oracle returns the last survivor, not the first"),
+     "_row0_runs(stock[0], q ** n)",
+     "_row0_runs(stock[1], q ** n)",
+     "the run offsets are built from row 1's codes"),
     ("symsolve.py",
-     "    if not len(cand):",
+     "    if np.any(row0[1:] < row0[:-1]):",
      "    if False:",
-     "an oracle with no hit fails with an IndexError, not a named one"),
+     "the stock's sortedness check never fires"),
+    ("symsolve.py",
+     "    raise InternalCheckError(\n        f\"oracle found no",
+     "    return InternalCheckError(\n        f\"oracle found no",
+     "an oracle with no hit returns its error instead of raising it"),
     # -- the solver's and oracle's input check
     ("symsolve.py",
      "if isinstance(x, bool) or not isinstance(x, (int, np.integer)):",
@@ -355,7 +361,15 @@ MUTANTS = [
      'fmt=";".join([",".join(["%d"] * n)] * n))',
      'fmt=",".join([";".join(["%d"] * n)] * n))',
      "the dump swaps format_matrix's row and entry separators"),
-    # -- matrix products
+    # -- matrices: entries, products and the determinant
+    ("matrix.py",
+     "        if set(map(type, entries)) != {int}:",
+     "        if False:",
+     "MatFq keeps numpy integer entries, which wrap Fq's a*q + b"),
+    ("matrix.py",
+     "            det = negt[det]",
+     "            det = det",
+     "the determinant ignores the sign of a row swap"),
     ("matrix.py",
      "                bi += cols",
      "                bi += inner",
