@@ -7,7 +7,8 @@ the field's scalar tables are indexed at a*q + b, which wraps in a uint8.
 Group tables key their elements by int64 base-q codes (``groups.encode``).
 
 Vectors are plain tuples of field indices; helpers below cover the
-matrix-vector and inner products the rest of the package needs.
+matrix-vector and inner products the rest of the package needs; they
+convert numpy integer entries as ``MatFq`` does.
 
 The determinant uses exact Gauss-Jordan elimination with the pivot chosen
 as the first nonzero entry in column scan order (any pivot rule is correct
@@ -138,17 +139,24 @@ def _as_int(x) -> int:
     raise DomainError(f"entry {x!r} is not an integer")
 
 
+def _as_ints(xs) -> tuple:
+    """xs as a tuple of Python ints: a numpy integer would wrap the field
+    tables' a*q + b.  A tuple of exact ints passes through unconverted."""
+    xs = tuple(xs)
+    if set(map(type, xs)) != {int}:
+        xs = tuple(map(_as_int, xs))
+    return xs
+
+
 class MatFq:
     """Immutable dense matrix over a fixed GF(q)."""
 
     __slots__ = ("rows", "cols", "entries", "field")
 
     def __init__(self, field: Fq, rows: int, cols: int, entries):
-        entries = tuple(entries)
+        entries = _as_ints(entries)
         if rows < 1 or cols < 1 or len(entries) != rows * cols:
             raise DomainError(f"bad shape {rows}x{cols} for {len(entries)} entries")
-        if set(map(type, entries)) != {int}:  # a numpy int wraps a*q + b
-            entries = tuple(map(_as_int, entries))
         q = field.q
         for x in entries:
             if not 0 <= x < q:
@@ -228,7 +236,7 @@ class MatFq:
 
 # -- vectors (plain tuples of indices) ----------------------------------------
 
-def vec_dot(field: Fq, a: tuple, b: tuple) -> Scalar:
+def _dot(field: Fq, a: tuple, b: tuple) -> Scalar:
     q = field.q
     addt = field._add
     mult = field._mul
@@ -238,10 +246,16 @@ def vec_dot(field: Fq, a: tuple, b: tuple) -> Scalar:
     return acc
 
 
+def vec_dot(field: Fq, a: tuple, b: tuple) -> Scalar:
+    return _dot(field, _as_ints(a), _as_ints(b))
+
+
 def mat_vec(m: MatFq, v: tuple) -> tuple:
+    v = _as_ints(v)
     if len(v) != m.cols:
         raise DomainError("vector length does not match matrix columns")
-    return tuple(vec_dot(m.field, m.row(i), v) for i in range(m.rows))
+    e, c, field = m.entries, m.cols, m.field
+    return tuple([_dot(field, e[i:i + c], v) for i in range(0, len(e), c)])
 
 
 # -- text literals -------------------------------------------------------------

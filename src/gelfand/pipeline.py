@@ -343,11 +343,16 @@ def _write_report(row: SweepRow, report: VerificationReport | None,
 def _pool_rows(tasks, indices, workers, rows, out_dir) -> dict:
     """Run tasks[i] for the given indices in one fresh process pool, each
     row set as its point returns; returns {i: exception} for the points
-    whose futures raised."""
+    whose futures raised or that a broken pool refused to take."""
     from concurrent.futures import ProcessPoolExecutor, as_completed
-    lost = {}
+    from concurrent.futures.process import BrokenProcessPool
+    lost, futures = {}, {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_sweep_point, tasks[i]): i for i in indices}
+        for i in indices:
+            try:
+                futures[pool.submit(_sweep_point, tasks[i])] = i
+            except BrokenProcessPool as exc:  # a worker died meanwhile
+                lost[i] = exc
         for fut in as_completed(futures):
             i = futures[fut]
             try:
@@ -367,8 +372,8 @@ def run_sweep(points: list[tuple[str, int, int]] | None = None,
     """run_verify over a grid; per-point failures are recorded, not fatal.
 
     With jobs != 1 each point is its own future.  A worker process that
-    dies breaks the pool for every point still running or queued in it, so
-    each point whose future raised runs once more, alone in a fresh pool.
+    dies breaks the pool for every point still running, queued or not yet
+    submitted, so each such point runs once more, alone in a fresh pool.
     Only a point lost there too becomes an internal error row; points that
     finished keep their rows and reports.  A negative jobs or a cache_dir
     that cannot be created is refused before any point runs."""

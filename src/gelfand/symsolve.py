@@ -30,16 +30,15 @@ are decoded from their upper-triangle codes as one uint8 batch and kept
 when one batched fraction-free elimination through the field's add and mul
 tables reaches rank n; that stock is built once per (field, n) and stored
 as the base-q codes of its rows, one contiguous array per row index.
-Row 0's code is the leading n digits of the canonical index, so the stock
-is sorted by it and falls into one run per row-0 code; the run offsets are
-kept beside the stock.  Coordinate i of B*phi depends only on row i of B,
-so a call folds phi once into dots[r] = r*phi for all q^n row codes r, one
-table gather per digit, and walks the row-0 codes r with dots[r] = v_0 in
-ascending order, testing only run r against the later coordinates of v.
-The first run with a survivor holds the first hit, and its least survivor
-is returned; no survivor raises InternalCheckError.  The oracle keeps no
-state per phi and shares nothing with the solver beyond the input check:
-no ``_eliminate`` or ``MatFq.det``.
+Coordinate i of B*phi depends only on row i of B, so phi's first call
+folds it into dots[r] = r*phi for all q^n row codes r, one table gather
+per digit, and reads the base-q code of B*phi for the whole stock, one
+gather per row.  np.unique with return_index sorts stably, so for each code
+it names the first matrix in canonical order that reaches it; those
+indices fill a table of q^n entries, -1 where no matrix reaches the code,
+cached per (field, phi).  A call is one lookup of v's code, and a -1
+raises InternalCheckError.  The oracle shares nothing with the solver
+beyond the input check: no ``_eliminate`` or ``MatFq.det``.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ import numpy as np
 from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import Fq
 from .groups import decode, encode
-from .matrix import MatFq, mat_vec, vec_dot
+from .matrix import MatFq, _dot, mat_vec
 
 ORACLE_SEARCH_CAP = 15_625
 
@@ -88,7 +87,7 @@ def _solve(field: Fq, phi: tuple, v: tuple) -> list[list[int]]:
     n = len(phi)
     add, mul, div = field.add, field.mul, field.div
     j = next(i for i, x in enumerate(v) if x)
-    c = vec_dot(field, v, phi)
+    c = _dot(field, v, phi)  # _check_input made both ints
     if c:
         b = [[div(mul(x, y), c) for y in v] for x in v]
         pivot, scale = v, c
@@ -143,21 +142,12 @@ def _full_rank(mats: np.ndarray, field: Fq) -> np.ndarray:
     return kept
 
 
-def _row0_runs(row0: np.ndarray, codes: int) -> tuple:
-    """Offsets of the runs of a stock sorted by its row-0 codes: the
-    matrices whose row 0 has code r are stock[:, runs[r]:runs[r + 1]], for
-    r < codes."""
-    if np.any(row0[1:] < row0[:-1]):
-        raise InternalCheckError("the symmetric stock is not sorted by row 0")
-    return tuple(np.searchsorted(row0, np.arange(codes + 1)).tolist())
-
-
 @functools.lru_cache(maxsize=None)
-def _symmetric_stock(field: Fq, n: int) -> tuple[np.ndarray, tuple]:
+def _symmetric_stock(field: Fq, n: int) -> np.ndarray:
     """The invertible symmetric n x n matrices in canonical order, as an
     (n, count) array whose [i] is the base-q code of row i of every matrix:
     the upper triangles, row-major, are the base-q digits of 0, 1, ...,
-    q^(n(n+1)/2) - 1.  Returned with the offsets of its row-0 runs."""
+    q^(n(n+1)/2) - 1."""
     q, tri = field.q, n * (n + 1) // 2
     upper = decode(np.arange(q ** tri), tri, q)
     rows, cols = np.triu_indices(n)
@@ -168,7 +158,7 @@ def _symmetric_stock(field: Fq, n: int) -> tuple[np.ndarray, tuple]:
     stock = np.array([encode(kept[:, i], q) for i in range(n)],
                      dtype=np.min_scalar_type(q ** n - 1))
     stock.flags.writeable = False  # the cache hands it to every call
-    return stock, _row0_runs(stock[0], q ** n)
+    return stock
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,35 +167,44 @@ def _row_vectors(field: Fq, n: int) -> np.ndarray:
     return decode(np.arange(field.q ** n), n, field.q)
 
 
-def oracle_symmetric(field: Fq, phi: tuple, v: tuple) -> MatFq:
-    """First (canonical order) symmetric invertible B with B*phi = v.
-
-    Coordinate i of B*phi is r*phi for row i of B, so one fold of phi into
-    r*phi for every row code r answers every row.  The stock is sorted by
-    row 0, so the first hit lies in the first run whose row-0 code r has
-    r*phi = v_0 and which holds a matrix matching the later coordinates
-    too: the runs are walked in ascending r, and only their own matrices
-    are tested.  The module docstring proves a solution exists for nonzero
-    phi and v, so walking every run without a hit is an internal error."""
-    phi, v = _check_input(field, phi, v)
-    n = len(phi)
-    if field.q ** (n * (n + 1) // 2) > ORACLE_SEARCH_CAP:
-        raise CapExceededError(
-            f"oracle search space q^(n(n+1)/2) exceeds {ORACLE_SEARCH_CAP}")
-    stock, runs = _symmetric_stock(field, n)
+@functools.lru_cache(maxsize=None)
+def _first_hits(field: Fq, phi: tuple) -> np.ndarray:
+    """For each base-q code of a vector v, the stock column of the first
+    matrix B (canonical order) with B*phi = v, or -1 if there is none."""
+    q, n = field.q, len(phi)
+    stock = _symmetric_stock(field, n)
     add, mul = field.arrays()
     dots = mul[:, phi[0]]  # dots[r] = r*phi, r's leading digit first
     for x in phi[1:]:
         dots = add[dots[:, None], mul[:, x]].ravel()
-    wanted = [dots == x for x in v]
-    for r in np.flatnonzero(wanted[0]).tolist():
-        start, stop = runs[r], runs[r + 1]
-        hit = np.ones(stop - start, dtype=bool)  # every row 0 here is r
-        for i in range(1, n):
-            hit &= wanted[i].take(stock[i, start:stop])
-        hits = np.flatnonzero(hit)
-        if len(hits):
-            b = _row_vectors(field, n)[stock[:, start + hits[0]]]
-            return MatFq(field, n, n, b.ravel().tolist())
-    raise InternalCheckError(
-        f"oracle found no symmetric invertible B mapping {phi} to {v}")
+    codes = np.zeros(stock.shape[1], dtype=np.int64)
+    for row in stock:  # B*phi's leading coordinate first
+        codes = codes * q + dots.take(row)
+    found, first = np.unique(codes, return_index=True)  # a stable sort
+    table = np.full(q ** n, -1)
+    table[found] = first
+    table.flags.writeable = False
+    return table
+
+
+def oracle_symmetric(field: Fq, phi: tuple, v: tuple) -> MatFq:
+    """First (canonical order) symmetric invertible B with B*phi = v.
+
+    phi's first call builds its table of first hits over the whole stock
+    (see the module docstring); this call and every later one for phi look
+    up v's code there.  The module docstring proves a solution exists for
+    nonzero phi and v, so a code with no hit is an internal error."""
+    phi, v = _check_input(field, phi, v)
+    q, n = field.q, len(phi)
+    if q ** (n * (n + 1) // 2) > ORACLE_SEARCH_CAP:
+        raise CapExceededError(
+            f"oracle search space q^(n(n+1)/2) exceeds {ORACLE_SEARCH_CAP}")
+    code = 0
+    for x in v:  # v's leading coordinate first
+        code = code * q + x
+    hit = _first_hits(field, phi)[code]
+    if hit < 0:
+        raise InternalCheckError(
+            f"oracle found no symmetric invertible B mapping {phi} to {v}")
+    b = _row_vectors(field, n)[_symmetric_stock(field, n)[:, hit]]
+    return MatFq(field, n, n, b.ravel().tolist())

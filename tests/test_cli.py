@@ -451,6 +451,29 @@ def test_points_lost_with_a_broken_pool_run_again(monkeypatch, tmp_path,
     assert not (tmp_path / "gl-n1-q4.json").exists()
 
 
+def test_points_a_broken_pool_refused_to_take_run_again(monkeypatch):
+    # a worker that died before the last submit used to make submit raise
+    # BrokenProcessPool out of run_sweep, losing every finished row
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    submit = ProcessPoolExecutor.submit
+    pools = []
+
+    def submit_once_per_pool(pool, *args, **kwargs):
+        if pool in pools:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        pools.append(pool)
+        return submit(pool, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_once_per_pool)
+    summary = run_sweep([("gl", 1, 2), ("gl", 1, 3), ("o", 1, 3)], jobs=2)
+    # the first pool took one point; the other two each ran alone
+    assert len(pools) == 3
+    assert [(r.kind, r.q, r.passed, r.error) for r in summary.rows] == \
+        [("gl", 2, True, None), ("gl", 3, True, None), ("o", 3, True, None)]
+
+
 def test_a_group_too_large_for_a_table_is_refused_unenumerated(monkeypatch,
                                                                 capsys):
     from gelfand import pipeline

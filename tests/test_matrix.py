@@ -218,3 +218,25 @@ def test_vector_helpers(f3):
     assert vec_dot(f3, (1, 2), (2, 2)) == 0  # 2 + 4 = 6 = 0 mod 3
     with pytest.raises(DomainError):
         mat_vec(m, (1, 1, 1))
+
+
+def test_vector_helpers_take_numpy_integer_vectors():
+    # over GF(23) uint8 entries used to wrap Fq's a*q + b: vec_dot read 6
+    # and mat_vec raised OverflowError
+    f23 = field_from_q(23)
+    a, b = (22, 21), (20, 22)
+    as_uint8 = np.array(a, np.uint8), np.array(b, np.uint8)
+    assert vec_dot(f23, *as_uint8) == vec_dot(f23, a, b) == 5  # 902 mod 23
+    m = MatFq(f23, 2, 2, a + b)
+    assert mat_vec(m, as_uint8[1]) == mat_vec(m, b) == (5, 10)
+    assert all(type(x) is int for x in mat_vec(m, as_uint8[1]))
+
+
+@pytest.mark.parametrize("helper", ["vec_dot", "mat_vec"])
+def test_vector_helpers_refuse_entries_that_are_not_integers(f3, helper):
+    m = MatFq.identity(f3, 2)
+    with pytest.raises(DomainError, match="entry 1.0 is not an integer"):
+        if helper == "vec_dot":
+            vec_dot(f3, (0, 1), (0, 1.0))
+        else:
+            mat_vec(m, (0, 1.0))

@@ -11,8 +11,9 @@ from gelfand.errors import CapExceededError, DomainError, InternalCheckError
 from gelfand.field import build_field, field_from_q
 from gelfand.groups import decode, enumerate_gl
 from gelfand.matrix import MatFq, mat_vec, vec_dot
-from gelfand.symsolve import (ORACLE_SEARCH_CAP, _symmetric_stock,
-                              oracle_symmetric, solve_symmetric)
+from gelfand.symsolve import (ORACLE_SEARCH_CAP, _first_hits,
+                              _symmetric_stock, oracle_symmetric,
+                              solve_symmetric)
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)
 # every (q, n) whose oracle search space is under the cap
@@ -287,22 +288,23 @@ def test_stock_size_is_the_closed_form(q, n):
     for i in range(1, (n + 1) // 2 + 1):
         expected *= q ** (2 * i - 1) - 1
     # the stock holds row codes, (n, count); one matrix per column
-    stock, _ = _symmetric_stock(field_from_q(q), n)
+    stock = _symmetric_stock(field_from_q(q), n)
     assert stock.shape == (n, expected)
 
 
 def test_the_stock_equals_the_reference_in_canonical_order(f5):
     # column c holds the base-5 codes of matrix c's rows
-    stock, _ = _symmetric_stock(f5, 2)
+    stock = _symmetric_stock(f5, 2)
     matrices = decode(stock.T.ravel(), 2, 5).reshape(-1, 4)
     assert [MatFq(f5, 2, 2, b.tolist())
             for b in matrices] == reference_stock(5, 2)
 
 
-@pytest.mark.parametrize("q,n", [(3, 3), (4, 2)])
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2),
+                                 (5, 2)])
 def test_oracle_matches_the_reference_on_every_instance(q, n):
-    # many stock matrices match v_0 but miss a later coordinate, so this
-    # pins how the surviving candidate indices compose
+    # every nonzero entry of every table of (q, n), against the first
+    # reference matrix in canonical order that maps phi to v
     field = field_from_q(q)
     vecs = nonzero_vectors(field, n)
     first = {}
@@ -316,24 +318,62 @@ def test_oracle_matches_the_reference_on_every_instance(q, n):
 
 @pytest.mark.parametrize("q,n", ORACLE_GRID)
 def test_the_row0_runs_partition_the_stock(q, n):
-    stock, runs = _symmetric_stock(field_from_q(q), n)
-    assert len(runs) == q ** n + 1
-    assert runs[0] == 0 and runs[-1] == stock.shape[1]
-    assert list(runs) == sorted(runs)  # so the runs cover the stock once
-    for r in range(q ** n):
-        assert (stock[0, runs[r]:runs[r + 1]] == r).all()
+    # canonical order leads with row 0's digits, so the stock is sorted by
+    # row 0's code: its row-0 runs follow one another and cover it once,
+    # one run for each nonzero row
+    row0 = _symmetric_stock(field_from_q(q), n)[0].astype(np.int64)
+    assert (np.diff(row0) >= 0).all()
+    assert np.array_equal(np.unique(row0), np.arange(1, q ** n))
 
 
-def test_a_stock_not_sorted_by_row_0_is_refused():
-    with pytest.raises(InternalCheckError, match="not sorted by row 0"):
-        symsolve._row0_runs(np.array([1, 2, 2, 0, 3]), 4)
+@pytest.fixture
+def fresh_tables():
+    """An empty table cache, emptied again afterwards, so no table built
+    here outlives the test."""
+    _first_hits.cache_clear()
+    yield
+    _first_hits.cache_clear()
 
 
-def test_an_oracle_with_no_hit_raises_naming_phi_and_v(f3, monkeypatch):
-    # an empty stock has every run empty, so the walk finds nothing
+@pytest.mark.parametrize("q,n", ORACLE_GRID)
+def test_each_table_entry_is_the_first_column_reaching_its_code(q, n):
+    field = field_from_q(q)
+    add, mul = field.arrays()
+    stock = _symmetric_stock(field, n)
+    mats = decode(stock.T.ravel(), n, q).reshape(-1, n, n)
+    vecs = nonzero_vectors(field, n)
+    rng = random.Random(q * 10 + n)
+    for phi in [vecs[0], vecs[-1]] + rng.sample(vecs, min(6, len(vecs))):
+        # B*phi entry by entry, then its base-q code, leading entry first
+        image = mul[mats[:, :, 0], phi[0]]
+        for j in range(1, n):
+            image = add[image, mul[mats[:, :, j], phi[j]]]
+        codes = (image.astype(np.int64)
+                 * q ** np.arange(n - 1, -1, -1)).sum(1)
+        table = _first_hits(field, phi)
+        assert table.shape == (q ** n,) and not table.flags.writeable
+        # B is invertible, so only v = 0 has no hit
+        assert table[0] == -1 and (table[1:] >= 0).all()
+        hit = table[1:]
+        assert (codes[hit] == np.arange(1, q ** n)).all()
+        assert (table[codes] <= np.arange(len(codes))).all()  # the first
+
+
+def test_a_first_call_builds_one_table(fresh_tables, f5):
+    assert _first_hits.cache_info().currsize == 0
+    oracle_symmetric(f5, (1, 2, 0), (0, 1, 1))
+    assert _first_hits.cache_info().currsize == 1
+    oracle_symmetric(f5, (1, 2, 0), (4, 4, 2))  # the same phi's table
+    assert _first_hits.cache_info().currsize == 1
+    oracle_symmetric(f5, (0, 2, 0), (0, 1, 1))
+    assert _first_hits.cache_info().currsize == 2
+
+
+def test_an_oracle_with_no_hit_raises_naming_phi_and_v(f3, monkeypatch,
+                                                        fresh_tables):
+    # an empty stock reaches no code, so every table entry is -1
     monkeypatch.setattr(symsolve, "_symmetric_stock",
-                        lambda field, n: (np.zeros((n, 0), dtype=np.uint8),
-                                          (0,) * (field.q ** n + 1)))
+                        lambda field, n: np.zeros((n, 0), dtype=np.uint8))
     with pytest.raises(InternalCheckError,
                        match=r"no symmetric invertible B mapping "
                              r"\(1, 0\) to \(0, 1\)"):

@@ -274,6 +274,10 @@ MUTANTS = [
      "    if False:",
      "check_table_fits refuses no group too large for a table"),
     ("pipeline.py",
+     "            except BrokenProcessPool as exc:  # a worker died meanwhile",
+     "            except ZeroDivisionError as exc:",
+     "a pool that breaks during submission ends the sweep"),
+    ("pipeline.py",
      "    if jobs < 0:",
      "    if jobs < -1:",
      "a sweep accepts jobs = -1"),
@@ -302,7 +306,7 @@ MUTANTS = [
      "        if i == j:\n            continue",
      "        if False:\n            continue",
      "the rank-one sum runs over every i"),
-    # -- the oracle's scan
+    # -- the oracle's first-hit tables
     ("symsolve.py",
      "encode(kept[:, i], q)",
      "encode(kept[:, 0], q)",
@@ -314,28 +318,25 @@ MUTANTS = [
      "    for x in phi[-2::-1]:",
      "the row fold reads phi reversed"),
     ("symsolve.py",
-     "        for i in range(1, n):\n            hit",
-     "        for i in range(1, n - 1):\n            hit",
-     "the last coordinate of B*phi is skipped"),
+     "    for row in stock:  # B*phi's leading coordinate first",
+     "    for row in stock[::-1]:  # B*phi's leading coordinate first",
+     "the code of B*phi reads its digits in reverse"),
     ("symsolve.py",
-     "take(stock[i, start:stop])",
-     "take(stock[i, :stop - start])",
-     "a run is read from the stock's start"),
+     "    found, first = np.unique(codes, return_index=True)",
+     "    found, first = np.unique(codes[::-1], return_index=True)\n"
+     "    first = len(codes) - 1 - first",
+     "each table entry is the last hit in canonical order, not the first"),
     ("symsolve.py",
-     "stock[:, start + hits[0]]",
-     "stock[:, start + hits[-1]]",
-     "the oracle returns the run's last survivor, not the first"),
-    ("symsolve.py",
-     "_row0_runs(stock[0], q ** n)",
-     "_row0_runs(stock[1], q ** n)",
-     "the run offsets are built from row 1's codes"),
-    ("symsolve.py",
-     "    if np.any(row0[1:] < row0[:-1]):",
+     "    if hit < 0:",
      "    if False:",
-     "the stock's sortedness check never fires"),
+     "a code with no hit returns the stock's last matrix"),
     ("symsolve.py",
-     "    raise InternalCheckError(\n        f\"oracle found no",
-     "    return InternalCheckError(\n        f\"oracle found no",
+     "    for x in v:  # v's leading coordinate first",
+     "    for x in v[::-1]:  # v's leading coordinate first",
+     "the lookup reads v reversed"),
+    ("symsolve.py",
+     "        raise InternalCheckError(\n            f\"oracle found no",
+     "        return InternalCheckError(\n            f\"oracle found no",
      "an oracle with no hit returns its error instead of raising it"),
     # -- the solver's and oracle's input check
     ("symsolve.py",
@@ -363,9 +364,18 @@ MUTANTS = [
      "the dump swaps format_matrix's row and entry separators"),
     # -- matrices: entries, products and the determinant
     ("matrix.py",
-     "        if set(map(type, entries)) != {int}:",
-     "        if False:",
-     "MatFq keeps numpy integer entries, which wrap Fq's a*q + b"),
+     "    if set(map(type, xs)) != {int}:",
+     "    if False:",
+     "MatFq, vec_dot and mat_vec keep numpy integer entries, which wrap "
+     "Fq's a*q + b"),
+    ("matrix.py",
+     "    return _dot(field, _as_ints(a), _as_ints(b))",
+     "    return _dot(field, a, b)",
+     "vec_dot takes numpy integer vectors as given"),
+    ("matrix.py",
+     "    v = _as_ints(v)",
+     "    v = tuple(v)",
+     "mat_vec takes a numpy integer vector as given"),
     ("matrix.py",
      "            det = negt[det]",
      "            det = det",
