@@ -10,10 +10,12 @@ Vectors are plain tuples of field indices; helpers below cover the
 matrix-vector and inner products the rest of the package needs; they
 convert numpy integer entries as ``MatFq`` does.
 
-The determinant uses exact Gauss-Jordan elimination with the pivot chosen
-as the first nonzero entry in column scan order (any pivot rule is correct
-over an exact field; this one is deterministic).  It and ``vec_dot`` read
-the field's flat add/mul/neg/inv lists, as ``_mul_entries`` does.
+The determinant is the product of the pivots of exact forward elimination,
+negated once per row swap.  The pivot is the first nonzero entry on or
+below the diagonal (any pivot rule gives the same determinant over an exact
+field), only the rows below it and the columns after it are updated, and a
+column with no pivot gives 0 at once.  It and ``vec_dot`` read the field's
+flat add/mul/neg/inv lists, as ``_mul_entries`` does.
 """
 
 from __future__ import annotations
@@ -87,46 +89,6 @@ def transpose_flat(a: tuple, rows: int, cols: int) -> tuple:
 
 def identity_flat(n: int) -> tuple:
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-
-
-def _eliminate(rows_list: list[list[int]], field: Fq):
-    """In-place Gauss-Jordan through the field's flat tables; returns
-    (rank, det) with det 0 when rank-deficient, sign-corrected for row
-    swaps."""
-    q = field.q
-    addt, mult, negt, invt = field._add, field._mul, field._neg, field._inv
-    m = len(rows_list)
-    ncols = len(rows_list[0]) if m else 0
-    rank = 0
-    det = 1
-    for col in range(ncols):
-        if rank == m:
-            break
-        pivot_row = None
-        for i in range(rank, m):
-            if rows_list[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            rows_list[rank], rows_list[pivot_row] = (rows_list[pivot_row],
-                                                     rows_list[rank])
-            det = negt[det]
-        prow = rows_list[rank]
-        pivot = prow[col]
-        det = mult[det * q + pivot]
-        pinv = invt[pivot]
-        for j in range(col, ncols):
-            prow[j] = mult[prow[j] * q + pinv]
-        for i in range(m):
-            if i != rank and rows_list[i][col]:
-                f = negt[rows_list[i][col]] * q  # row += (-f) * prow
-                row = rows_list[i]
-                for j in range(col, ncols):
-                    row[j] = addt[row[j] * q + mult[f + prow[j]]]
-        rank += 1
-    return rank, det
 
 
 def _as_int(x) -> int:
@@ -209,15 +171,37 @@ class MatFq:
                      transpose_flat(self.entries, self.rows, self.cols))
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self.entries == transpose_flat(
-            self.entries, self.rows, self.cols)
+        n, e = self.rows, self.entries
+        return n == self.cols and all(
+            e[i * n:(i + 1) * n] == e[i::n] for i in range(n))
 
     def det(self) -> Scalar:
         if self.rows != self.cols:
             raise DomainError("determinant requires a square matrix")
-        work = self.to_rows()
-        rank, det = _eliminate(work, self.field)
-        return det if rank == self.rows else 0
+        n, field = self.rows, self.field
+        q = field.q
+        addt, mult, negt, invt = field._add, field._mul, field._neg, field._inv
+        e = self.entries
+        a = [list(e[i:i + n]) for i in range(0, n * n, n)]
+        det = 1
+        for c in range(n):
+            p = c  # the pivot row: the first nonzero a[p][c] with p >= c
+            while not a[p][c]:
+                p += 1
+                if p == n:
+                    return 0  # no pivot in column c: singular
+            if p != c:
+                a[c], a[p] = a[p], a[c]
+                det = negt[det]
+            top = a[c]
+            det = mult[det * q + top[c]]
+            pinv = invt[top[c]]
+            for row in a[c + 1:]:
+                if row[c]:  # row -= (row[c] / pivot) * top
+                    f = negt[mult[row[c] * q + pinv]] * q
+                    for k in range(c + 1, n):
+                        row[k] = addt[row[k] * q + mult[f + top[k]]]
+        return det
 
     # -- identity ------------------------------------------------------------
 

@@ -20,7 +20,9 @@ columns (e_m / phi_m, v, w_i for i not in {j, m}) with K a hyperbolic plane
 [[0, 1], [1, 0]] plus the identity in the second.  The span of M's columns
 holds v and every e_i other than e_j, and v_j != 0, so M is invertible, and
 so is K.  Hence B is invertible in every characteristic, 2 included.
-Every returned matrix is still re-checked for symmetry, invertibility and
+``_solve`` builds B through the field's flat add/mul/neg/inv tables, each
+division a product with the inverse of c or phi_m, taken once.  Every
+returned matrix is still re-checked for symmetry, invertibility and
 B*phi = v before it leaves this module.
 
 The brute-force oracle returns the first invertible solution in canonical
@@ -38,7 +40,7 @@ it names the first matrix in canonical order that reaches it; those
 indices fill a table of q^n entries, -1 where no matrix reaches the code,
 cached per (field, phi).  A call is one lookup of v's code, and a -1
 raises InternalCheckError.  The oracle shares nothing with the solver
-beyond the input check: no ``_eliminate`` or ``MatFq.det``.
+beyond the input check: it never calls ``_solve`` or ``MatFq.det``.
 """
 
 from __future__ import annotations
@@ -50,25 +52,22 @@ import numpy as np
 from .errors import CapExceededError, DomainError, InternalCheckError
 from .field import Fq
 from .groups import decode, encode
-from .matrix import MatFq, _dot, mat_vec
+from .matrix import MatFq, _as_ints, _dot, mat_vec
 
 ORACLE_SEARCH_CAP = 15_625
 
 
 def _check_input(field: Fq, phi, v) -> tuple[tuple, tuple]:
-    phi = tuple(phi)
-    v = tuple(v)
+    # Fq's flat tables index by a*q + b, which wraps in a numpy uint8
+    phi, v = _as_ints(phi), _as_ints(v)
     if len(phi) != len(v) or not phi:
         raise DomainError("phi and v must be nonempty vectors of equal length")
     for x in phi + v:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise DomainError(f"entry {x!r} is not an integer")
         if not 0 <= x < field.q:
             raise DomainError(f"entry {x} not a valid index for {field!r}")
     if not any(phi) or not any(v):
         raise DomainError("phi and v must both be nonzero")
-    # Fq's scalar ops index by a*q + b, which wraps in a numpy uint8
-    return tuple(map(int, phi)), tuple(map(int, v))
+    return phi, v
 
 
 def _check_solution(field: Fq, phi: tuple, v: tuple, flat: tuple, n: int):
@@ -84,27 +83,31 @@ def _check_solution(field: Fq, phi: tuple, v: tuple, flat: tuple, n: int):
 
 
 def _solve(field: Fq, phi: tuple, v: tuple) -> list[list[int]]:
-    n = len(phi)
-    add, mul, div = field.add, field.mul, field.div
+    q, n = field.q, len(phi)
+    addt, mult, negt, invt = field._add, field._mul, field._neg, field._inv
     j = next(i for i, x in enumerate(v) if x)
     c = _dot(field, v, phi)  # _check_input made both ints
     if c:
-        b = [[div(mul(x, y), c) for y in v] for x in v]
-        pivot, scale = v, c
+        pivot, s = v, invt[c]
+        vs = [mult[y * q + s] for y in v]  # v / c
+        b = [[mult[x * q + y] for y in vs] for x in v]
     else:
         m = next(i for i, x in enumerate(phi) if x and i != j)
+        pivot, s = [int(i == m) for i in range(n)], invt[phi[m]]
+        vs = [mult[y * q + s] for y in v]  # v / phi_m
         b = [[0] * n for _ in range(n)]
         for i in range(n):
-            b[i][m] = b[m][i] = div(v[i], phi[m])
-        b[m][m] = div(add(v[m], v[m]), phi[m])
-        pivot, scale = [int(i == m) for i in range(n)], phi[m]
+            b[i][m] = b[m][i] = vs[i]
+        b[m][m] = addt[vs[m] * q + vs[m]]
     for i in range(n):
         if i == j:
             continue  # w_m is 0 in the second case
-        t = field.neg(div(phi[i], scale))
-        w = [add(int(k == i), mul(t, pivot[k])) for k in range(n)]
-        for r in range(n):
-            b[r] = [add(b[r][s], mul(w[r], w[s])) for s in range(n)]
+        tq = negt[mult[phi[i] * q + s]] * q  # t = -phi_i * s
+        w = [mult[tq + x] for x in pivot]  # w_i = e_i + t * pivot
+        w[i] = addt[w[i] * q + 1]
+        for r, wr in enumerate(w):
+            wq = wr * q
+            b[r] = [addt[x * q + mult[wq + y]] for x, y in zip(b[r], w)]
     return b
 
 

@@ -61,15 +61,17 @@ def test_criterion_3_o_gelfand_property(o_reports):
 
 
 # criterion 4: the symmetric solver is sound and complete vs the oracle;
-# ORACLE_DIGEST is the sha256 of the oracle's outputs' entries as bytes,
-# in this loop's order
+# ORACLE_DIGEST and SOLVER_DIGEST are the sha256 of the oracle's and the
+# solver's outputs' entries as bytes, in this loop's order
 ORACLE_DIGEST = (
     "eedf1b3d20b896cb8cb4b7d29ce457e2aca760e22b3e67d20d87ac179db96437")
+SOLVER_DIGEST = (
+    "e1bc61c84a324fca80dbbc30fb119ae3bafb24e2e29b04c7207332a13ebd7de8")
 
 
 def test_criterion_4_symmetric_solver_exhaustive():
     checked = 0
-    digest = hashlib.sha256()
+    digest, solver_digest = hashlib.sha256(), hashlib.sha256()
     for q in (2, 3, 5):
         field = build_field(q, 1)
         for n in (1, 2, 3):
@@ -82,9 +84,11 @@ def test_criterion_4_symmetric_solver_exhaustive():
                         assert m.is_symmetric() and m.det() != 0
                         assert mat_vec(m, phi) == v
                     digest.update(bytes(first.entries))
+                    solver_digest.update(bytes(b.entries))
                     checked += 1
     assert checked == 16_771
     assert digest.hexdigest() == ORACLE_DIGEST
+    assert solver_digest.hexdigest() == SOLVER_DIGEST
     print(f"ACCEPTANCE 4 (symmetric solver, n <= 3, q in 2/3/5): PASS on "
           f"{checked} instances, zero failures")
 

@@ -149,6 +149,23 @@ def test_transpose_is_an_involution(f3):
         assert m.transpose().transpose() == m
 
 
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3)])
+def test_is_symmetric_is_equality_with_the_transpose(q, n):
+    # is_symmetric compares row slices with column slices, never building
+    # the transpose
+    seen = 0
+    for m in all_square(field_from_q(q), n):
+        assert m.is_symmetric() == (m == m.transpose())
+        seen += m.is_symmetric()
+    assert seen == q ** (n * (n + 1) // 2)
+
+
+def test_a_non_square_matrix_is_not_symmetric(f3):
+    for entries in ([0] * 6, [1, 0, 0, 1, 0, 0]):
+        assert not MatFq(f3, 2, 3, entries).is_symmetric()
+        assert not MatFq(f3, 3, 2, entries).is_symmetric()
+
+
 def test_symmetric_iff_inverse_symmetric(f3):
     seen = 0
     for m, m_inv in elements_and_inverses(enumerate_gl(2, f3)):

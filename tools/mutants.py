@@ -295,8 +295,8 @@ MUTANTS = [
      "    if False:",
      "a solver output that misses v is returned"),
     ("symsolve.py",
-     "        b[m][m] = div(add(v[m], v[m]), phi[m])",
-     "        b[m][m] = div(v[m], phi[m])",
+     "        b[m][m] = addt[vs[m] * q + vs[m]]",
+     "        b[m][m] = vs[m]",
      "the c = 0 corner is halved"),
     ("symsolve.py",
      "    j = next(i for i, x in enumerate(v) if x)",
@@ -339,13 +339,13 @@ MUTANTS = [
      "        return InternalCheckError(\n            f\"oracle found no",
      "an oracle with no hit returns its error instead of raising it"),
     # -- the solver's and oracle's input check
-    ("symsolve.py",
-     "if isinstance(x, bool) or not isinstance(x, (int, np.integer)):",
-     "if not isinstance(x, (int, np.integer)):",
+    ("matrix.py",
+     "    if not isinstance(x, bool):",
+     "    if True:",
      "a bool entry passes the input check"),
     ("symsolve.py",
-     "    return tuple(map(int, phi)), tuple(map(int, v))",
-     "    return phi, v",
+     "    phi, v = _as_ints(phi), _as_ints(v)",
+     "    phi, v = tuple(phi), tuple(v)",
      "numpy uint8 entries reach Fq's a*q + b and wrap"),
     # -- double cosets from the generators' own pairs
     ("cosets.py",
@@ -362,7 +362,7 @@ MUTANTS = [
      'fmt=";".join([",".join(["%d"] * n)] * n))',
      'fmt=",".join([";".join(["%d"] * n)] * n))',
      "the dump swaps format_matrix's row and entry separators"),
-    # -- matrices: entries, products and the determinant
+    # -- matrices: entries, products, symmetry and the determinant
     ("matrix.py",
      "    if set(map(type, xs)) != {int}:",
      "    if False:",
@@ -377,9 +377,22 @@ MUTANTS = [
      "    v = tuple(v)",
      "mat_vec takes a numpy integer vector as given"),
     ("matrix.py",
-     "            det = negt[det]",
-     "            det = det",
+     "                det = negt[det]",
+     "                det = det",
      "the determinant ignores the sign of a row swap"),
+    ("matrix.py",
+     "                    return 0  # no pivot in column c: singular",
+     "                    return 1  # no pivot in column c: singular",
+     "a column with no pivot gives determinant 1"),
+    ("matrix.py",
+     "                    for k in range(c + 1, n):",
+     "                    for k in range(c + 2, n):",
+     "the row update starts one column late"),
+    ("matrix.py",
+     "            e[i * n:(i + 1) * n] == e[i::n] for i in range(n))",
+     "            e[i * n:(i + 1) * n] == e[i * n:(i + 1) * n] "
+     "for i in range(n))",
+     "is_symmetric compares each row with itself"),
     ("matrix.py",
      "                bi += cols",
      "                bi += inner",
